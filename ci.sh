@@ -34,16 +34,10 @@ cargo test -q --offline --test fault_injection --test sim_properties
 step "availability index + candidate pool tests"
 cargo test -q --offline --test availability_index --test candidate_pool
 
-# Pipelined rounds: plan/execute/commit overlap must change wall-clock
-# only — reports (including the pinned pre-pipeline goldens) byte-for-
-# byte, telemetry identical modulo phase-span stream position.
-step "pipelined-rounds determinism tests"
-cargo test -q --offline --test pipelined_determinism
-
 # Online profiling: profiling off reproduces the pinned goldens
-# byte-for-byte; profiling on is bit-identical across thread counts
-# and across the pipelined/sequential engines; the bounded store's
-# accounting identities hold under eviction and arbitrary sequences.
+# byte-for-byte; profiling on is bit-identical across thread counts;
+# the bounded store's accounting identities hold under eviction and
+# arbitrary sequences.
 step "online-profiling determinism tests"
 cargo test -q --offline --test profiling
 
@@ -52,6 +46,12 @@ cargo test -q --offline --test profiling
 # golden guarding the whole stack against drift.
 step "sweep-orchestrator determinism tests"
 cargo test -q --offline --test sweep_determinism
+
+# The repository benchmark is a workspace of its own (root `cargo test`
+# never compiles it), yet it builds against the public API of the crates
+# above: compile it and run its tests so an API change cannot break it.
+step "benchmark harness tests (flbench)"
+cargo test -q --release --offline --manifest-path flbench/Cargo.toml
 
 if [[ "${1:-}" != "quick" ]]; then
   # Short chaos run with a fixed seed, every fault kind active, and
@@ -72,24 +72,11 @@ if [[ "${1:-}" != "quick" ]]; then
     --clients 1 > target/obs/obsdump_ci.txt
   grep -q "event stream and report reconcile exactly" target/obs/obsdump_ci.txt
 
-  # The same chaos run with pipelined rounds: identical invariants, plus
-  # an in-process byte-identity check against the sequential report, and
-  # a reconcile of the pipelined event stream (exercising the
-  # overlapped_us span accounting end to end).
-  step "chaos smoke (pipelined rounds)"
-  cargo run --release --offline --example chaos_smoke -- --pipelined
-  cargo run --release --offline -p float-bench --bin obsdump -- \
-    target/obs/chaos_sync_pipelined.jsonl \
-    --report target/obs/chaos_sync_pipelined.report.json \
-    --clients 1 > target/obs/obsdump_pipelined_ci.txt
-  grep -q "event stream and report reconcile exactly" \
-    target/obs/obsdump_pipelined_ci.txt
-
   # Profiling smoke: sync Oort + async FedBuff with the online client
   # profiler enabled, fault-free and chaos, each asserted bit-identical
   # across 1 vs 4 worker threads (the profiler folds observations only
-  # in the sequential commit phase), plus the pipelined==sequential and
-  # label-suffix contracts. Writes the sync chaos run's event stream +
+  # in the sequential commit phase), plus the label-suffix contract.
+  # Writes the sync chaos run's event stream +
   # report to target/obs/ for the profile replay gate below.
   step "profiling smoke (online profiler, 1 vs 4 threads)"
   cargo run --release --offline --example profiling_smoke

@@ -107,7 +107,8 @@ fn run_row(cfg: float_core::ExperimentConfig, mode: &str) -> PopulationRow {
     eprintln!("population_scale: {clients} clients, {mode}, {rounds} rounds (pool {pool}) ...");
     let exp = Experiment::new(cfg).expect("valid config");
     let start = Instant::now();
-    let (report, stats, avail) = exp.run_with_population_stats();
+    let (report, run_stats) = exp.run_with_stats();
+    let (stats, avail) = (run_stats.cache, run_stats.availability);
     let seconds = start.elapsed().as_secs_f64();
     assert!(report.is_finite(), "report carries NaN/Inf at {clients}");
     assert!(

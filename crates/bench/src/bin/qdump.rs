@@ -30,10 +30,10 @@ fn main() {
                 SelectorChoice::FedAvg,
                 AccelMode::Rlhf,
             );
-            let (_, agent) = Experiment::new(cfg)
+            let (_, stats) = Experiment::new(cfg)
                 .expect("quick config valid")
-                .run_capturing_agent();
-            agent
+                .run_with_stats();
+            stats.agent.expect("RLHF trains an agent")
         }
     };
 

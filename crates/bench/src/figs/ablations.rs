@@ -80,7 +80,8 @@ fn run_variant(scale: Scale, name: &str, mutate: impl Fn(&mut AgentConfig)) -> A
     mutate(&mut agent_cfg);
     let agent = RlhfAgent::new(agent_cfg, split_seed(cfg.seed, 4));
     exp.replace_agent(agent);
-    let (report, agent) = exp.run_capturing_agent();
+    let (report, stats) = exp.run_with_stats();
+    let agent = stats.agent.expect("RLHF trains an agent");
     AblationRow {
         variant: name.to_string(),
         accuracy: report.accuracy.mean,

@@ -82,9 +82,10 @@ pub fn run(scale: Scale) -> Fig10 {
             let mut cfg = scale.config(Task::Femnist, SelectorChoice::FedAvg, AccelMode::Rlhf);
             cfg.interference = interference;
             cfg.alpha = alpha;
-            let (_, agent) = Experiment::new(cfg)
+            let (_, stats) = Experiment::new(cfg)
                 .expect("scaled config valid")
-                .run_capturing_agent();
+                .run_with_stats();
+            let agent = stats.agent.expect("RLHF trains an agent");
             // Aggregate Q values per action, overall and restricted to
             // network-constrained states.
             let mut sums: HashMap<usize, (f64, f64, u64, u64)> = HashMap::new();

@@ -61,7 +61,8 @@ pub fn run(scale: Scale) -> Fig9 {
     let mut src_cfg = scale.config(Task::Femnist, SelectorChoice::FedAvg, AccelMode::Rlhf);
     src_cfg.arch = Architecture::ResNet18;
     let src_exp = Experiment::new(src_cfg).expect("valid source config");
-    let (src_exp_report, trained_agent) = src_exp.run_capturing_agent();
+    let (src_exp_report, src_stats) = src_exp.run_with_stats();
+    let trained_agent = src_stats.agent.expect("RLHF trains an agent");
 
     // Phase 2a: transfer to CIFAR-10 (same arch) vs scratch.
     let tgt_rounds = scale.rounds() / 2;

@@ -226,16 +226,10 @@ pub struct ExperimentConfig {
     /// with [`ExperimentConfig::prox_mu`].
     #[serde(default)]
     pub scaffold: bool,
-    /// Pipelined round execution: stream each attempt to the worker pool
-    /// the moment it is planned and commit completed attempts in slot
-    /// order while later attempts still execute, overlapping the round's
-    /// plan/execute/commit phases instead of running them as strict
-    /// barriers; round-`r` accuracy evaluation additionally overlaps the
-    /// start of round `r+1`. Off by default (the historical three-phase
-    /// schedule). Results are byte-identical either way — commits retire
-    /// in the same deterministic slot order and evaluation reads a
-    /// snapshot of the committed model — see `DESIGN.md` §16 for the
-    /// contract and the pinned pipelined-vs-sequential golden tests.
+    /// Retired and ignored. It once selected a pipelined round engine
+    /// whose reports were byte-identical to the barrier engine's (the
+    /// only engine now), so configs that set it load and run unchanged.
+    /// See `DESIGN.md` §16.
     #[serde(default)]
     pub pipeline_rounds: bool,
     /// Online client profiling: estimate per-client latency, bandwidth,

@@ -29,5 +29,5 @@ pub use config::{AccelMode, ExperimentConfig, SelectorChoice};
 pub use float_data::ShardCacheStats;
 pub use metrics::{AccuracySummary, ExperimentReport, RoundRecord, TechniqueStats};
 pub use optim::{ServerOptimConfig, ServerOptimizer, ServerOptimizerChoice};
-pub use runtime::Experiment;
+pub use runtime::{Experiment, RunStats};
 pub use trial::{run_trial, run_trial_traced, SharedPopulation};

@@ -4,9 +4,7 @@
 //! loop).
 
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread;
-use std::time::Instant;
+use std::sync::Arc;
 
 use rand::seq::SliceRandom;
 
@@ -44,6 +42,23 @@ use crate::trial::SharedPopulation;
 /// Hidden width of the proxy model used for the accuracy side of the
 /// simulation. Kept modest so full 300-round runs stay fast.
 const PROXY_HIDDEN: usize = 128;
+
+/// What a finished run reports besides its [`ExperimentReport`].
+#[derive(Debug)]
+pub struct RunStats {
+    /// Shard-cache counters: population-scale harnesses assert that
+    /// training-data memory stayed bounded by the cache capacity.
+    pub cache: ShardCacheStats,
+    /// Availability-index residency and activity (heap bytes,
+    /// transitions applied, tracked batteries, pool draws).
+    pub availability: AvailabilityStats,
+    /// The online profiler's store accounting (`None` with profiling
+    /// off), so harnesses can assert the bounded store's identities.
+    pub profiler: Option<ProfilerStats>,
+    /// The trained agent (`None` in accel modes without one), for the
+    /// transfer / fine-tuning workflow of Fig. 9.
+    pub agent: Option<RlhfAgent>,
+}
 
 /// A fully assembled experiment, ready to run.
 pub struct Experiment {
@@ -125,11 +140,6 @@ pub struct Experiment {
     eval_models: Vec<Mlp>,
     /// Reusable flat-parameter buffer for re-parameterizing `eval_models`.
     eval_parameters: Vec<f32>,
-    /// In-flight background evaluation under pipelined rounds: the report
-    /// record awaiting its `mean_accuracy` plus the thread computing it.
-    /// Resolved at the next round's bookkeeping (or at finalization), so
-    /// at most one evaluation is ever outstanding.
-    pending_eval: Option<PendingEval>,
     /// Online client profiler ([`ExperimentConfig::profiling`], DESIGN.md
     /// §17): the commit-phase fold of observed outcomes into per-client
     /// estimates that replace the trace oracle in selection and in the
@@ -141,21 +151,10 @@ pub struct Experiment {
     profiler: Option<ClientProfiler>,
 }
 
-/// A background evaluation pass launched by a pipelined round. The thread
-/// owns clones of everything it reads (model, shard spec, client list), so
-/// it cannot observe — or perturb — the next round's mutations; its result
-/// is a pure function of the post-aggregation parameters it was given.
-struct PendingEval {
-    /// Index into `report.rounds` whose `mean_accuracy` the result fills.
-    record: usize,
-    handle: thread::JoinHandle<Vec<f64>>,
-}
-
 /// The frozen inputs of one client attempt, produced by the sequential
-/// *plan* phase. Everything the parallel *execute* phase needs is captured
-/// here by value, so execution is a pure function of `(global params,
-/// task)` plus read-only experiment state. `Clone` so a stall retry can
-/// re-execute the same plan under a fresh attempt number.
+/// *plan* phase. Together with the read-only [`ExecuteCtx`] it is
+/// everything the parallel *execute* phase reads. `Clone` so a stall
+/// retry can re-execute the same plan under a fresh attempt number.
 #[derive(Clone)]
 struct AttemptTask {
     client: usize,
@@ -182,16 +181,6 @@ struct AttemptTask {
     global: GlobalState,
     local: LocalState,
     hf: DeadlineLevel,
-    /// Snapshot of the client's error-feedback residual, taken when the
-    /// attempt is planned (or re-planned for a retry). Captured by value so
-    /// a pipelined execute phase — which runs concurrently with earlier
-    /// slots' commits — reads exactly the state a sequential execute phase
-    /// would have. `Some` only for the top-k compression action.
-    error_feedback: Option<ErrorFeedback>,
-    /// Snapshot of the client's SCAFFOLD control variate `c_i`, captured
-    /// like `error_feedback` (SCAFFOLD runs only; an empty vec means the
-    /// client has no variate yet).
-    scaffold_ci: Option<Vec<f32>>,
 }
 
 /// The side-effect-free result of the parallel *execute* phase, consumed
@@ -238,49 +227,47 @@ struct WorkerScratch {
     recorder: Recorder,
 }
 
-/// Owned snapshot of every piece of experiment state the execute phase
-/// reads. Both engines' attempt batches execute through one of these: the
-/// sequential engine builds it right before the fan-out, and the pipelined
-/// engine builds it before planning starts so worker threads never borrow
-/// the `Experiment` at all — the main thread is then free to keep planning
-/// and committing (both `&mut self`) while workers run. The snapshots are
-/// what make streamed commits safe: a commit may mutate `scaffold_c` or a
-/// residual while later slots are still executing, but those slots read
-/// the values frozen here (and in their [`AttemptTask`]), which are
-/// exactly the values a fully sequential round would have read.
-struct ExecuteCtx {
-    config: ExperimentConfig,
-    protected: Vec<bool>,
-    global_params: Vec<f32>,
+/// Borrowed view of every piece of experiment state the execute phase
+/// reads. It lives only for the duration of one fan-out: commits (which
+/// mutate `scaffold_c` and the per-client maps) start after every
+/// attempt of the batch has executed, so no attempt can observe another's
+/// commit and nothing needs copying.
+struct ExecuteCtx<'a> {
+    config: &'a ExperimentConfig,
+    protected: &'a [bool],
+    global_params: &'a [f32],
     /// Architecture template for workers that have not yet materialized
     /// their scratch model (parameters are overwritten per attempt).
-    model: Mlp,
-    /// SCAFFOLD server control variate at plan time (empty when off).
-    scaffold_c: Vec<f32>,
+    model: &'a Mlp,
+    /// SCAFFOLD server control variate (empty when off).
+    scaffold_c: &'a [f32],
+    /// Per-client error-feedback residuals (top-k compression).
+    error_feedback: &'a HashMap<usize, ErrorFeedback>,
+    /// Per-client SCAFFOLD control variates `c_i`.
+    scaffold_ci: &'a HashMap<usize, Vec<f32>>,
     obs_enabled: bool,
 }
 
-impl ExecuteCtx {
+impl ExecuteCtx<'_> {
     /// Phase 2 — *execute*: simulate the round and, on completion, run the
     /// client's real local training and wire transform. A pure function of
     /// `(ctx, task)` — all randomness comes from seeds derived per
     /// `(round, client, attempt)` and the worker scratch is fully
     /// overwritten before use, so the result is independent of which
-    /// worker runs it, in what order, and of any commit that has already
-    /// landed for an earlier slot.
+    /// worker runs it or in what order.
     fn execute(
         &self,
         round: usize,
         task: &AttemptTask,
         scratch: &mut WorkerScratch,
     ) -> AttemptExec {
-        let global_params = &self.global_params[..];
+        let global_params = self.global_params;
         let plan = apply_action_protected(
             task.action,
             task.base_cost,
             global_params,
             split_seed(self.config.seed, (round as u64) << 20 | task.client as u64),
-            Some(&self.protected),
+            Some(self.protected),
         );
         let round_params = RoundParams {
             deadline_s: self.config.deadline_s,
@@ -349,19 +336,17 @@ impl ExecuteCtx {
         let mut opt = Sgd::new(self.config.learning_rate);
         let mut last_loss = 0.0f32;
         // Drift corrections (FedProx / SCAFFOLD) read the control variates
-        // snapshotted at plan time (ctx + task), so every attempt in a
-        // batch sees one consistent view per round regardless of engine or
-        // commit streaming. With both corrections off this is the
-        // historical training path bit for bit (the default
-        // `DriftOptions` skips the correction branches).
-        let client_ci: &[f32] = task.scaffold_ci.as_deref().unwrap_or(&[]);
+        // as the batch's earlier commits left them. With both corrections
+        // off this is the historical training path bit for bit (the
+        // default `DriftOptions` skips the correction branches).
+        let client_ci: &[f32] = self
+            .scaffold_ci
+            .get(&task.client)
+            .map_or(&[], Vec::as_slice);
         let drift = DriftOptions {
             prox: (self.config.prox_mu > 0.0)
                 .then_some((self.config.prox_mu as f32, global_params)),
-            scaffold: self
-                .config
-                .scaffold
-                .then_some((self.scaffold_c.as_slice(), client_ci)),
+            scaffold: self.config.scaffold.then_some((self.scaffold_c, client_ci)),
         };
         for e in 0..self.config.local_epochs {
             last_loss = local.train_epoch_corrected(
@@ -411,9 +396,13 @@ impl ExecuteCtx {
         let (mut delta, error_feedback) = if task.action == AccelAction::TopK10 {
             // Sparsified uploads carry per-client error feedback so the
             // untransmitted mass is not lost (see float_accel::feedback).
-            // Work on the residual snapshotted into the task; the commit
-            // phase writes the refreshed copy back in client order.
-            let mut ef = task.error_feedback.clone().unwrap_or_default();
+            // Work on a copy of the residual; the commit phase writes the
+            // refreshed copy back in client order.
+            let mut ef = self
+                .error_feedback
+                .get(&task.client)
+                .cloned()
+                .unwrap_or_default();
             let d = ef.compress(&scratch.delta, 0.10);
             (d, Some(ef))
         } else {
@@ -825,7 +814,6 @@ impl Experiment {
             scaffold_ci: HashMap::new(),
             eval_models: Vec::new(),
             eval_parameters: Vec::new(),
-            pending_eval: None,
             profiler: config
                 .profiling
                 .enabled
@@ -908,36 +896,17 @@ impl Experiment {
         self.finalize()
     }
 
-    /// Run to completion and also return the shard-cache counters, so
-    /// population-scale harnesses can assert that training-data memory
-    /// stayed bounded by the configured cache capacity.
-    pub fn run_with_cache_stats(mut self) -> (ExperimentReport, ShardCacheStats) {
+    /// Run to completion and also return the run's side counters and the
+    /// trained agent (see [`RunStats`]).
+    pub fn run_with_stats(mut self) -> (ExperimentReport, RunStats) {
         self.run_engine();
-        let stats = self.data.stats();
+        let stats = RunStats {
+            cache: self.data.stats(),
+            availability: self.sampler.availability_stats(),
+            profiler: self.profiler.as_ref().map(ClientProfiler::stats),
+            agent: self.agent.take(),
+        };
         (self.finalize(), stats)
-    }
-
-    /// Run to completion and also return the online profiler's store
-    /// accounting (`None` with profiling off), so harnesses can assert the
-    /// bounded store's identities (`inserted == evictions + resident`,
-    /// `resident ≤ capacity`) at population scale.
-    pub fn run_with_profiler_stats(mut self) -> (ExperimentReport, Option<ProfilerStats>) {
-        self.run_engine();
-        let stats = self.profiler.as_ref().map(ClientProfiler::stats);
-        (self.finalize(), stats)
-    }
-
-    /// Run to completion and also return the shard-cache counters plus the
-    /// availability-index residency stats (heap bytes, transitions applied,
-    /// tracked batteries, pool draws), so population-scale harnesses can
-    /// attribute both memory and per-round work.
-    pub fn run_with_population_stats(
-        mut self,
-    ) -> (ExperimentReport, ShardCacheStats, AvailabilityStats) {
-        self.run_engine();
-        let cache = self.data.stats();
-        let avail = self.sampler.availability_stats();
-        (self.finalize(), cache, avail)
     }
 
     /// Run to completion and also return the recorded telemetry (the full
@@ -959,27 +928,6 @@ impl Experiment {
         let report = self.finalize();
         let summary = report.telemetry.clone().unwrap_or_default();
         (report, Telemetry { events, summary })
-    }
-
-    /// Run to completion and also return the trained RLHF agent (for the
-    /// transfer / fine-tuning workflow of Fig. 9).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the accel mode has no agent (Off / Static / Heuristic);
-    /// use [`Experiment::run`] for those.
-    pub fn run_capturing_agent(mut self) -> (ExperimentReport, RlhfAgent) {
-        assert!(
-            matches!(
-                self.config.accel,
-                AccelMode::Rl | AccelMode::Rlhf | AccelMode::RlhfExtended
-            ),
-            "accel mode {:?} trains no agent",
-            self.config.accel
-        );
-        self.run_engine();
-        let agent = self.agent.take().expect("RL modes imply an agent");
-        (self.finalize(), agent)
     }
 
     // ------------------------------------------------------------------
@@ -1177,7 +1125,6 @@ impl Experiment {
             Some(p) => profiled_fractions(p, client, device.gflops),
         };
         let action = self.choose_action(client, fractions, round);
-        let (error_feedback, scaffold_ci) = self.snapshot_drift_state(client, action);
         let (cpu_f, mem_f, net_f) = fractions;
         AttemptTask {
             client,
@@ -1196,48 +1143,23 @@ impl Experiment {
             hf: DeadlineLevel::from_overrun(
                 self.hf_overrun_ema.get(&client).copied().unwrap_or(0.0),
             ),
-            error_feedback,
-            scaffold_ci,
         }
     }
 
-    /// Freeze the execute phase's view of the experiment: configuration,
+    /// The execute phase's view of the experiment: configuration,
     /// protection mask, global parameters, architecture template, and the
-    /// SCAFFOLD server variate. Built once per attempt batch — and rebuilt
-    /// per retry, which by the historical contract sees the batch's
-    /// earlier commits.
-    fn execute_ctx(&self, global_params: &[f32]) -> ExecuteCtx {
+    /// drift state (SCAFFOLD variates, error-feedback residuals).
+    fn execute_ctx<'a>(&'a self, global_params: &'a [f32]) -> ExecuteCtx<'a> {
         ExecuteCtx {
-            config: self.config,
-            protected: self.protected.clone(),
-            global_params: global_params.to_vec(),
-            model: self.global_model.clone(),
-            scaffold_c: self.scaffold_c.clone(),
+            config: &self.config,
+            protected: &self.protected,
+            global_params,
+            model: &self.global_model,
+            scaffold_c: &self.scaffold_c,
+            error_feedback: &self.error_feedback,
+            scaffold_ci: &self.scaffold_ci,
             obs_enabled: self.obs.enabled(),
         }
-    }
-
-    /// Snapshot the per-client state the execute phase reads through the
-    /// task: the error-feedback residual (top-k compression only) and the
-    /// SCAFFOLD control variate. Taken at plan time — and re-taken per
-    /// retry, matching the historical retry path, which read them live
-    /// after the batch's first-round commits.
-    fn snapshot_drift_state(
-        &self,
-        client: usize,
-        action: AccelAction,
-    ) -> (Option<ErrorFeedback>, Option<Vec<f32>>) {
-        let ef = (action == AccelAction::TopK10).then(|| {
-            self.error_feedback
-                .get(&client)
-                .cloned()
-                .unwrap_or_default()
-        });
-        let ci = self
-            .config
-            .scaffold
-            .then(|| self.scaffold_ci.get(&client).cloned().unwrap_or_default());
-        (ef, ci)
     }
 
     /// Phase 3 — *commit*: apply the attempt's mutations (ledger, battery,
@@ -1427,15 +1349,10 @@ impl Experiment {
     }
 
     /// Plan, execute (fanned out over `scratches`), and commit a batch of
-    /// client attempts. Results come back in cohort order.
-    ///
-    /// Dispatches on [`ExperimentConfig::pipeline_rounds`]: the sequential
-    /// engine runs the three phases back to back with a full barrier
-    /// between each; the pipelined engine streams tasks to workers as they
-    /// are planned and streams commits back in slot order as results
-    /// arrive. Both produce bit-identical committed state — every commit
-    /// happens on the main thread in slot order, and the execute phase
-    /// reads only plan-time snapshots (see [`ExecuteCtx`]).
+    /// client attempts, with a full barrier between the phases. Results
+    /// come back in cohort order; every commit happens on the calling
+    /// thread in slot order, so committed state is identical for any
+    /// worker count.
     ///
     /// With `retry_stalled` set (the synchronous engine), clients whose
     /// upload hit an injected network stall are re-requested up to the
@@ -1444,22 +1361,6 @@ impl Experiment {
     /// bumped attempt number, so the fault schedule redraws and the result
     /// stays independent of worker-thread count.
     fn run_attempts(
-        &mut self,
-        round: usize,
-        cohort: &[usize],
-        global_params: &[f32],
-        scratches: &mut [WorkerScratch],
-        retry_stalled: bool,
-    ) -> Vec<Attempt> {
-        if self.config.pipeline_rounds {
-            self.run_attempts_pipelined(round, cohort, global_params, scratches, retry_stalled)
-        } else {
-            self.run_attempts_sequential(round, cohort, global_params, scratches, retry_stalled)
-        }
-    }
-
-    /// The historical barrier engine: plan all, execute all, commit all.
-    fn run_attempts_sequential(
         &mut self,
         round: usize,
         cohort: &[usize],
@@ -1500,153 +1401,10 @@ impl Experiment {
         attempts
     }
 
-    /// The pipelined engine (`pipeline_rounds = true`): the main thread
-    /// streams each task to the worker pool the moment it is planned, then
-    /// commits results in slot order as they arrive — so planning of slot
-    /// `i+1` overlaps execution of slot `i`, and the commit of slot `i`
-    /// overlaps execution of slots `> i`. Commits stay on the main thread
-    /// in slot order, and workers read only the [`ExecuteCtx`] /
-    /// [`AttemptTask`] snapshots, so the committed state — and therefore
-    /// the report — is byte-identical to the sequential engine's (pinned
-    /// by `tests/pipelined_determinism.rs`).
-    ///
-    /// Phase spans under pipelining: the plan span is the planning prefix;
-    /// the execute span runs from first dispatch to last arrival, with
-    /// `overlapped_us` crediting the plan and commit work that ran under
-    /// it; the commit span is the accumulated commit work (streamed +
-    /// tail), so `Σ wall − Σ overlapped` across the three spans is the
-    /// batch's critical path.
-    fn run_attempts_pipelined(
-        &mut self,
-        round: usize,
-        cohort: &[usize],
-        global_params: &[f32],
-        scratches: &mut [WorkerScratch],
-        retry_stalled: bool,
-    ) -> Vec<Attempt> {
-        let round_u = round as u64;
-        if cohort.is_empty() {
-            // Preserve the three-span-per-batch shape so per-kind event
-            // counts (and obsdump reconciliation) are engine-independent.
-            let t = self.obs.phase_start();
-            self.obs.phase_end(round_u, Phase::Plan, t);
-            self.obs.phase_span(round_u, Phase::Execute, 0, None);
-            self.obs.phase_span(round_u, Phase::Commit, 0, None);
-            return Vec::new();
-        }
-        let timers = self.obs.wall_timers();
-        let ctx = self.execute_ctx(global_params);
-        let n = cohort.len();
-        let workers = scratches.len().min(n);
-        let batch_t = self.obs.phase_start();
-        let (task_tx, task_rx) = mpsc::channel::<(usize, AttemptTask)>();
-        let task_rx = Mutex::new(task_rx);
-        let (res_tx, res_rx) = mpsc::channel::<(usize, AttemptTask, AttemptExec)>();
-        let mut tasks: Vec<Option<AttemptTask>> = (0..n).map(|_| None).collect();
-        let mut attempts: Vec<Option<Attempt>> = (0..n).map(|_| None).collect();
-        let mut plan_us = 0u64;
-        let mut commit_us = 0u64;
-        let mut commit_overlap_us = 0u64;
-        let mut exec_wall_us = 0u64;
-        thread::scope(|scope| {
-            for scratch in scratches[..workers].iter_mut() {
-                let ctx = &ctx;
-                let task_rx = &task_rx;
-                let res_tx = res_tx.clone();
-                scope.spawn(move || loop {
-                    // Hold the lock only for the dequeue, not the work.
-                    let msg = task_rx.lock().expect("task queue lock").recv();
-                    let Ok((slot, task)) = msg else { break };
-                    let exec = ctx.execute(round, &task, scratch);
-                    if res_tx.send((slot, task, exec)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(res_tx);
-            // Plan: hand each task to the pool the moment it exists, so
-            // slot 0 is already executing while slot 1 is being planned.
-            for (slot, &client) in cohort.iter().enumerate() {
-                self.report.selected_count[client] += 1;
-                let mut task = self.plan_attempt(client, round, 0);
-                task.slot = slot as u64;
-                task_tx
-                    .send((slot, task))
-                    .expect("workers outlive dispatch");
-            }
-            drop(task_tx); // workers exit once the queue drains
-            plan_us = batch_t.map_or(0, |t| t.elapsed().as_micros() as u64);
-            self.obs.phase_span(round_u, Phase::Plan, plan_us, None);
-            // Streamed commit: results re-ordered into slot order via a
-            // pending buffer; only the contiguous prefix commits, so the
-            // commit sequence is identical to the sequential engine's.
-            let mut pending: Vec<Option<(AttemptTask, AttemptExec)>> =
-                (0..n).map(|_| None).collect();
-            let mut next = 0usize;
-            for received in 0..n {
-                let (slot, task, exec) = res_rx.recv().expect("worker delivers every task");
-                pending[slot] = Some((task, exec));
-                if received + 1 == n {
-                    // Last result is in: the execute wall stops here, but
-                    // the span event is emitted after the loop — at the
-                    // last arrival an arbitrary (thread-timing dependent)
-                    // number of slots is still pending in the reorder
-                    // buffer, and the event stream must not depend on
-                    // worker count.
-                    exec_wall_us = batch_t.map_or(0, |t| t.elapsed().as_micros() as u64);
-                }
-                let c0 = timers.then(Instant::now);
-                while next < n {
-                    let Some((task, exec)) = pending[next].take() else {
-                        break;
-                    };
-                    attempts[next] = Some(self.commit_attempt(round, &task, exec));
-                    tasks[next] = Some(task);
-                    next += 1;
-                }
-                if let Some(c0) = c0 {
-                    let us = c0.elapsed().as_micros() as u64;
-                    commit_us += us;
-                    if received + 1 < n {
-                        commit_overlap_us += us;
-                    }
-                }
-            }
-        });
-        // Close the execute span (first dispatch → last arrival), crediting
-        // the plan and commit work that ran under it.
-        self.obs.phase_span(
-            round_u,
-            Phase::Execute,
-            exec_wall_us,
-            timers.then_some(plan_us + commit_overlap_us),
-        );
-        let tasks: Vec<AttemptTask> = tasks
-            .into_iter()
-            .map(|t| t.expect("every slot was committed"))
-            .collect();
-        let mut attempts: Vec<Attempt> = attempts
-            .into_iter()
-            .map(|a| a.expect("every slot was committed"))
-            .collect();
-        let tail_t = timers.then(Instant::now);
-        if retry_stalled {
-            self.retry_stalled_attempts(round, global_params, &tasks, &mut attempts, scratches);
-        }
-        self.obs
-            .absorb_recorders(scratches.iter_mut().map(|s| &mut s.recorder));
-        if let Some(t) = tail_t {
-            commit_us += t.elapsed().as_micros() as u64;
-        }
-        self.obs.phase_span(round_u, Phase::Commit, commit_us, None);
-        attempts
-    }
-
-    /// Sequential stall-retry pass shared by both attempt engines: clients
-    /// whose committed outcome was a network stall are re-requested in
-    /// cohort order with a bumped attempt number. Each retry re-snapshots
-    /// the drift state and rebuilds the execute context, because — per the
-    /// historical contract — retries observe the batch's earlier commits.
+    /// Sequential stall-retry pass: clients whose committed outcome was a
+    /// network stall are re-requested in cohort order with a bumped
+    /// attempt number. Each retry executes against the drift state as the
+    /// batch's earlier commits (retries included) left it.
     fn retry_stalled_attempts(
         &mut self,
         round: usize,
@@ -1665,16 +1423,14 @@ impl Experiment {
                 attempt_no += 1;
                 let mut task = task0.clone();
                 task.attempt = attempt_no;
-                let (ef, ci) = self.snapshot_drift_state(task.client, task.action);
-                task.error_feedback = ef;
-                task.scaffold_ci = ci;
                 self.round_backoff_s += self.config.fault_plan.stall_backoff_s;
                 self.report.stall_retries += 1;
                 if self.obs.enabled() {
                     self.obs.registry_mut().inc("stall_retries", 1);
                 }
-                let ctx = self.execute_ctx(global_params);
-                let exec = ctx.execute(round, &task, &mut scratches[0]);
+                let exec = self
+                    .execute_ctx(global_params)
+                    .execute(round, &task, &mut scratches[0]);
                 attempts[i] = self.commit_attempt(round, &task, exec);
             }
         }
@@ -1725,41 +1481,6 @@ impl Experiment {
         self.eval_parameters = params;
         self.eval_models = models;
         accs
-    }
-
-    /// Launch the round's evaluation on a background thread (pipelined
-    /// rounds only). The thread owns clones of the post-aggregation model,
-    /// the shard spec, and the client list, so the next round's work —
-    /// which the evaluation overlaps — cannot influence the result. The
-    /// matching [`RoundRecord`] is pushed with `mean_accuracy: None` and
-    /// patched when [`Experiment::resolve_pending_eval`] joins the thread.
-    fn spawn_eval(&mut self, record: usize) {
-        let spec = self.data.spec().clone();
-        let mut model = self.global_model.clone();
-        let clients: Vec<usize> = if self.eval_set.is_empty() {
-            (0..self.config.num_clients).collect()
-        } else {
-            self.eval_set.clone()
-        };
-        let handle = thread::spawn(move || {
-            clients
-                .iter()
-                .map(|&c| model.evaluate_mut(&spec.test_shard(c)).accuracy as f64)
-                .collect()
-        });
-        self.pending_eval = Some(PendingEval { record, handle });
-    }
-
-    /// Join the outstanding background evaluation (if any) and patch its
-    /// mean accuracy into the report record it belongs to. Called at the
-    /// next round's bookkeeping and at finalization, so every record is
-    /// resolved before anyone reads the report.
-    fn resolve_pending_eval(&mut self) {
-        if let Some(p) = self.pending_eval.take() {
-            let accs = p.handle.join().expect("background eval completes");
-            let mean = accs.iter().sum::<f64>() / accs.len().max(1) as f64;
-            self.report.rounds[p.record].mean_accuracy = Some(mean);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -2003,10 +1724,6 @@ impl Experiment {
     }
 
     fn bookkeep_round_refs(&mut self, round: usize, attempts: &[&Attempt]) {
-        // Join the previous round's background evaluation (pipelined runs)
-        // before this round's record is pushed — at most one evaluation is
-        // ever in flight.
-        self.resolve_pending_eval();
         let completed = attempts.iter().filter(|a| a.completed).count();
         let dropped = attempts.len() - completed;
         let quarantined = attempts.iter().filter(|a| a.quarantined).count();
@@ -2043,19 +1760,10 @@ impl Experiment {
         };
         let is_eval =
             round.is_multiple_of(self.config.eval_every) || round + 1 == self.config.rounds;
-        let mean_accuracy = if is_eval {
-            if self.config.pipeline_rounds {
-                // Overlap the evaluation with the next round's work; the
-                // placeholder is patched when the thread joins.
-                self.spawn_eval(self.report.rounds.len());
-                None
-            } else {
-                let accs = self.eval_all_clients();
-                Some(accs.iter().sum::<f64>() / accs.len().max(1) as f64)
-            }
-        } else {
-            None
-        };
+        let mean_accuracy = is_eval.then(|| {
+            let accs = self.eval_all_clients();
+            accs.iter().sum::<f64>() / accs.len().max(1) as f64
+        });
         self.report.rounds.push(RoundRecord {
             round,
             selected: attempts.len(),
@@ -2070,7 +1778,6 @@ impl Experiment {
     }
 
     fn finalize(mut self) -> ExperimentReport {
-        self.resolve_pending_eval();
         let accs = self.eval_all_clients();
         self.report.accuracy = AccuracySummary::from_accuracies(&accs);
         self.report.client_accuracies = accs;
@@ -2240,8 +1947,9 @@ mod tests {
         let auto = ExperimentConfig::small(SelectorChoice::Oort, AccelMode::Rlhf, 6);
         let mut tiny = auto;
         tiny.shard_cache = auto.cohort_size; // smallest legal capacity
-        let (a, a_stats) = Experiment::new(auto).expect("valid").run_with_cache_stats();
-        let (b, b_stats) = Experiment::new(tiny).expect("valid").run_with_cache_stats();
+        let (a, a_stats) = Experiment::new(auto).expect("valid").run_with_stats();
+        let (b, b_stats) = Experiment::new(tiny).expect("valid").run_with_stats();
+        let (a_stats, b_stats) = (a_stats.cache, b_stats.cache);
         assert_eq!(a, b, "cache capacity changed the report");
         assert!(b_stats.evictions > 0, "tiny cache never evicted");
         assert!(b_stats.peak_resident <= b_stats.capacity);

@@ -116,7 +116,6 @@ mod tests {
                 round: 0,
                 phase: Phase::Execute,
                 wall_us: 0,
-                overlapped_us: None,
             },
             Event::ClientOutcome {
                 round: 0,

@@ -17,9 +17,10 @@ fn main() {
     src.task = Task::Femnist;
     src.arch = Architecture::ResNet18;
     println!("pre-training RLHF agent on femnist/resnet18…");
-    let (src_report, agent) = Experiment::new(src)
+    let (src_report, stats) = Experiment::new(src)
         .expect("config validates")
-        .run_capturing_agent();
+        .run_with_stats();
+    let agent = stats.agent.expect("RLHF trains an agent");
     println!(
         "  source run: mean accuracy {:.3}, {} dropouts, Q-table {} bytes",
         src_report.accuracy.mean,

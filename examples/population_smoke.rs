@@ -36,9 +36,10 @@ fn config(chaos: bool, threads: usize) -> ExperimentConfig {
 }
 
 fn run(chaos: bool, threads: usize) -> (ExperimentReport, ShardCacheStats) {
-    Experiment::new(config(chaos, threads))
+    let (report, stats) = Experiment::new(config(chaos, threads))
         .expect("config validates")
-        .run_with_cache_stats()
+        .run_with_stats();
+    (report, stats.cache)
 }
 
 fn check(chaos: bool) -> (ExperimentReport, ShardCacheStats) {

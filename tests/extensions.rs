@@ -54,7 +54,8 @@ fn reward_weights_are_validated_and_change_behaviour() {
 #[test]
 fn agent_transfer_through_facade() {
     let src = ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::Rlhf, 10);
-    let (_, agent) = Experiment::new(src).expect("valid").run_capturing_agent();
+    let (_, stats) = Experiment::new(src).expect("valid").run_with_stats();
+    let agent = stats.agent.expect("RLHF trains an agent");
     // Serialize, restore, install into a new experiment on another task.
     let restored = RlhfAgent::from_json(&agent.to_json()).expect("roundtrip");
     let mut tgt_cfg = ExperimentConfig::small(SelectorChoice::Oort, AccelMode::Rlhf, 6);

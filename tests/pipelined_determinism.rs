@@ -1,219 +1,33 @@
-//! The pipelined-rounds determinism contract: `pipeline_rounds = true`
-//! overlaps plan/execute/commit inside a round (and evaluation across
-//! rounds) but must never change a single output bit. Reports are
-//! compared byte-for-byte against sequential runs and against the pinned
-//! pre-pipeline goldens; telemetry streams must match after setting
-//! aside the `PhaseSpan` events, whose *stream position* legitimately
-//! moves when commits stream concurrently with execution (their counts
-//! per phase still must match). See `DESIGN.md` §16 for the contract.
+//! `pipeline_rounds` is a legacy config field: the pipelined engine it
+//! selected is gone, and configs that still set it must load and
+//! reproduce the pinned reports byte-for-byte.
 
 use float::core::{AccelMode, Experiment, ExperimentConfig, SelectorChoice};
-use float::obs::{Event, ObsConfig, Telemetry};
 use float::sim::FaultPlan;
 
 fn run(cfg: ExperimentConfig) -> float::core::ExperimentReport {
     Experiment::new(cfg).expect("valid config").run()
 }
 
-/// Run `cfg` sequentially and pipelined at the given worker count and
-/// require bit-identical reports.
-fn assert_pipelined_matches_sequential(mut cfg: ExperimentConfig, threads: usize) {
-    cfg.num_threads = threads;
-    let mut seq = cfg;
-    seq.pipeline_rounds = false;
-    let mut pip = cfg;
-    pip.pipeline_rounds = true;
-    let a = run(seq);
-    let b = run(pip);
-    assert_eq!(
-        a.client_accuracies, b.client_accuracies,
-        "client accuracies diverged at {threads} threads"
-    );
-    assert_eq!(
-        a.rounds, b.rounds,
-        "round records diverged at {threads} threads"
-    );
-    assert_eq!(a, b, "reports diverged at {threads} threads");
+/// Round-trip `cfg` through JSON with `pipeline_rounds` set, as a config
+/// written for the old pipelined engine would arrive.
+fn legacy_pipelined(mut cfg: ExperimentConfig) -> ExperimentConfig {
+    cfg.pipeline_rounds = true;
+    let json = serde_json::to_string(&cfg).expect("config serializes");
+    assert!(json.contains("\"pipeline_rounds\":true"), "{json}");
+    serde_json::from_str(&json).expect("config deserializes")
 }
 
-#[test]
-fn sync_rlhf_pipelined_is_bit_identical() {
-    // RLHF exercises the agent RNG, per-client EMA, technique stats, and
-    // (extended below) error feedback — every order-sensitive path.
-    for threads in [1, 4] {
-        assert_pipelined_matches_sequential(
-            ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::Rlhf, 6),
-            threads,
-        );
-    }
-}
-
-#[test]
-fn sync_chaos_pipelined_is_bit_identical() {
-    // Fault injection: stall retries run after the streamed commits, so
-    // retries must observe exactly the state a sequential run would.
-    for threads in [1, 4] {
-        let mut cfg = ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::Rlhf, 6);
-        cfg.fault_plan = FaultPlan::chaos();
-        assert_pipelined_matches_sequential(cfg, threads);
-    }
-}
-
-#[test]
-fn async_fedbuff_pipelined_is_bit_identical() {
-    // The event-driven engine launches per-batch; pipelining only changes
-    // when work is dispatched, never what arrives in the buffer.
-    for threads in [1, 4] {
-        assert_pipelined_matches_sequential(
-            ExperimentConfig::small(SelectorChoice::FedBuff, AccelMode::Rlhf, 6),
-            threads,
-        );
-    }
-}
-
-#[test]
-fn async_chaos_pipelined_is_bit_identical() {
-    for threads in [1, 4] {
-        let mut cfg = ExperimentConfig::small(SelectorChoice::FedBuff, AccelMode::Rlhf, 6);
-        cfg.fault_plan = FaultPlan::chaos();
-        assert_pipelined_matches_sequential(cfg, threads);
-    }
-}
-
-#[test]
-fn error_feedback_snapshots_survive_streamed_commits() {
-    // Top-k sparsification snapshots each client's residual into the task
-    // at plan time; streamed commits must write them back in slot order.
-    for threads in [1, 4] {
-        assert_pipelined_matches_sequential(
-            ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::RlhfExtended, 8),
-            threads,
-        );
-    }
-}
-
-#[test]
-fn utility_selectors_pipelined_are_bit_identical() {
-    // Oort consumes per-attempt utilities fed back at commit time — the
-    // selector must see them in the same order under streaming.
-    for selector in [SelectorChoice::Oort, SelectorChoice::Refl] {
-        assert_pipelined_matches_sequential(
-            ExperimentConfig::small(selector, AccelMode::Rlhf, 6),
-            4,
-        );
-    }
-}
-
-/// The pinned goldens were serialized by the sequential implementation.
-/// A pipelined run must reproduce them byte-for-byte — this is the
-/// strongest regression net: any drift in snapshot rules, commit order,
-/// retry semantics, or the overlapped evaluation shows up here.
 #[test]
 fn pipelined_reproduces_pinned_reports_byte_for_byte() {
-    let mut cfg = ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::Rlhf, 12);
-    cfg.pipeline_rounds = true;
-    let got = serde_json::to_string_pretty(&run(cfg)).expect("report serializes");
+    let cfg = ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::Rlhf, 12);
+    let got = serde_json::to_string_pretty(&run(legacy_pipelined(cfg))).expect("report serializes");
     let want = include_str!("data/pinned_pool0_fedavg_rlhf.json");
     assert_eq!(got, want.trim_end(), "pipelined fedavg+rlhf report drifted");
 
     let mut cfg = ExperimentConfig::small(SelectorChoice::Oort, AccelMode::Off, 10);
     cfg.fault_plan = FaultPlan::chaos();
-    cfg.pipeline_rounds = true;
-    let got = serde_json::to_string_pretty(&run(cfg)).expect("report serializes");
+    let got = serde_json::to_string_pretty(&run(legacy_pipelined(cfg))).expect("report serializes");
     let want = include_str!("data/pinned_pool0_oort_chaos.json");
     assert_eq!(got, want.trim_end(), "pipelined oort+chaos report drifted");
-}
-
-fn run_traced(
-    mut cfg: ExperimentConfig,
-    pipelined: bool,
-) -> (float::core::ExperimentReport, Telemetry) {
-    cfg.obs = ObsConfig::on();
-    cfg.pipeline_rounds = pipelined;
-    Experiment::new(cfg).expect("valid config").run_traced()
-}
-
-fn is_phase_span(e: &Event) -> bool {
-    matches!(e, Event::PhaseSpan { .. })
-}
-
-/// Telemetry contract under pipelining: the summary and every
-/// non-`PhaseSpan` event are identical, in order. `PhaseSpan` events may
-/// sit at different stream positions (the execute span closes after the
-/// streamed commits it overlapped), but each round still emits exactly
-/// one span per phase, and with wall timers off their payloads are
-/// identical too.
-fn assert_traced_pipelined_matches_sequential(cfg: ExperimentConfig) {
-    let (report_seq, tel_seq) = run_traced(cfg, false);
-    let (report_pip, tel_pip) = run_traced(cfg, true);
-    assert_eq!(report_seq, report_pip, "reports diverged with telemetry on");
-    assert_eq!(
-        tel_seq.summary, tel_pip.summary,
-        "telemetry summary diverged"
-    );
-
-    let body_seq: Vec<&Event> = tel_seq
-        .events
-        .iter()
-        .filter(|e| !is_phase_span(e))
-        .collect();
-    let body_pip: Vec<&Event> = tel_pip
-        .events
-        .iter()
-        .filter(|e| !is_phase_span(e))
-        .collect();
-    assert_eq!(body_seq.len(), body_pip.len(), "non-span event count");
-    for (i, (a, b)) in body_seq.iter().zip(&body_pip).enumerate() {
-        assert_eq!(a, b, "non-span event {i} diverged");
-    }
-
-    // Span payloads: ObsConfig::on() keeps wall timers off, so the spans
-    // are fully deterministic (wall 0, no overlap) and must match as a
-    // multiset — compare them sorted by (round, phase).
-    let spans = |tel: &Telemetry| -> Vec<String> {
-        let mut v: Vec<String> = tel
-            .events
-            .iter()
-            .filter(|e| is_phase_span(e))
-            .map(|e| serde_json::to_string(e).expect("span serializes"))
-            .collect();
-        v.sort();
-        v
-    };
-    assert_eq!(
-        spans(&tel_seq),
-        spans(&tel_pip),
-        "phase-span payloads diverged"
-    );
-}
-
-#[test]
-fn sync_telemetry_pipelined_matches_sequential() {
-    assert_traced_pipelined_matches_sequential(ExperimentConfig::small(
-        SelectorChoice::FedAvg,
-        AccelMode::Rlhf,
-        6,
-    ));
-}
-
-#[test]
-fn sync_chaos_telemetry_pipelined_matches_sequential() {
-    let mut cfg = ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::Rlhf, 6);
-    cfg.fault_plan = FaultPlan::chaos();
-    assert_traced_pipelined_matches_sequential(cfg);
-}
-
-#[test]
-fn async_chaos_telemetry_pipelined_matches_sequential() {
-    let mut cfg = ExperimentConfig::small(SelectorChoice::FedBuff, AccelMode::Rlhf, 6);
-    cfg.fault_plan = FaultPlan::chaos();
-    assert_traced_pipelined_matches_sequential(cfg);
-}
-
-#[test]
-fn pipelined_runs_are_deterministic_across_invocations() {
-    let mut cfg = ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::Rlhf, 8);
-    cfg.pipeline_rounds = true;
-    cfg.num_threads = 4;
-    assert_eq!(run(cfg), run(cfg), "repeated pipelined runs diverged");
 }

@@ -1,7 +1,7 @@
 //! Online-profiling contract: profiling off reproduces the pinned
 //! oracle-path goldens byte-for-byte; profiling on is bit-identical
-//! across worker-thread counts and across the pipelined/sequential
-//! engines; the bounded store's accounting identities always hold; and
+//! across worker-thread counts; the bounded store's accounting
+//! identities always hold; and
 //! the estimators are pure functions of the observation sequence.
 
 use float::core::{AccelMode, Experiment, ExperimentConfig, ExperimentReport, SelectorChoice};
@@ -74,22 +74,6 @@ fn profiled_runs_are_thread_count_invariant() {
     }
 }
 
-/// Pipelining overlaps plan/execute/commit across rounds but commits in
-/// the same order — a profiled pipelined run must match the sequential
-/// run byte-for-byte, including every estimate-driven selection.
-#[test]
-fn profiled_pipelined_matches_sequential() {
-    let mut cfg = profiled(SelectorChoice::Oort, 8, FaultPlan::chaos());
-    cfg.num_threads = 4;
-    let sequential = run(cfg);
-    cfg.pipeline_rounds = true;
-    assert_eq!(
-        run(cfg),
-        sequential,
-        "pipelined profiled run diverged from sequential"
-    );
-}
-
 /// Cold-only mode folds nothing and consults nothing, but must still be
 /// deterministic, finite, and distinctly labelled.
 #[test]
@@ -109,10 +93,8 @@ fn cold_only_is_deterministic_and_labelled() {
 fn bounded_store_accounting_identities_hold_under_eviction() {
     let mut cfg = profiled(SelectorChoice::Oort, 10, FaultPlan::chaos());
     cfg.profiling.capacity = 4; // far below the ~40-client population
-    let (report, stats) = Experiment::new(cfg)
-        .expect("valid config")
-        .run_with_profiler_stats();
-    let stats = stats.expect("profiling on must surface stats");
+    let (report, stats) = Experiment::new(cfg).expect("valid config").run_with_stats();
+    let stats = stats.profiler.expect("profiling on must surface stats");
     assert!(report.is_finite());
     assert_eq!(stats.capacity, 4);
     assert!(stats.observations > 0, "chaos run observed nothing");
@@ -139,10 +121,8 @@ fn bounded_store_accounting_identities_hold_under_eviction() {
     // Cold-only: every observation is suppressed, nothing is stored.
     let mut cfg = profiled(SelectorChoice::Oort, 6, FaultPlan::chaos());
     cfg.profiling = ProfilingConfig::cold_only();
-    let (_, stats) = Experiment::new(cfg)
-        .expect("valid config")
-        .run_with_profiler_stats();
-    let stats = stats.expect("cold-only still surfaces stats");
+    let (_, stats) = Experiment::new(cfg).expect("valid config").run_with_stats();
+    let stats = stats.profiler.expect("cold-only still surfaces stats");
     assert!(stats.observations > 0);
     assert_eq!(stats.suppressed, stats.observations);
     assert_eq!(stats.inserted, 0);
@@ -153,10 +133,8 @@ fn bounded_store_accounting_identities_hold_under_eviction() {
 #[test]
 fn profiling_off_surfaces_no_stats() {
     let cfg = ExperimentConfig::small(SelectorChoice::Oort, AccelMode::Off, 3);
-    let (_, stats) = Experiment::new(cfg)
-        .expect("valid config")
-        .run_with_profiler_stats();
-    assert_eq!(stats, None);
+    let (_, stats) = Experiment::new(cfg).expect("valid config").run_with_stats();
+    assert_eq!(stats.profiler, None);
 }
 
 /// Index → outcome kind; index 0 is Completed, 1..5 the non-completions.

@@ -46,6 +46,23 @@ fn explicit_fedavg_reproduces_pinned_reports_byte_for_byte() {
     let want = include_str!("data/pinned_pool0_fedavg_rlhf.json");
     assert_eq!(got, want.trim_end(), "fedavg+rlhf report drifted");
 
+    // Drift state under faults: the extended catalogue's top-k action
+    // (error-feedback residuals), FedProx, SCAFFOLD variates, and stall
+    // retries that re-execute after the batch's commits.
+    let mut cfg = ExperimentConfig::small(SelectorChoice::FedAvg, AccelMode::RlhfExtended, 12);
+    cfg.scaffold = true;
+    cfg.prox_mu = 0.1;
+    cfg.fault_plan = FaultPlan::chaos();
+    let report = run(cfg);
+    assert!(report.stall_retries > 0, "no stall retry exercised");
+    assert!(
+        report.technique_stats.contains_key("topk10"),
+        "no top-k action exercised"
+    );
+    let got = serde_json::to_string_pretty(&report).expect("report serializes");
+    let want = include_str!("data/pinned_drift_chaos.json");
+    assert_eq!(got, want.trim_end(), "drift+chaos report drifted");
+
     let mut cfg = ExperimentConfig::small(SelectorChoice::Oort, AccelMode::Off, 10);
     cfg.fault_plan = FaultPlan::chaos();
     cfg.server_optim = ServerOptimConfig::with(ServerOptimizerChoice::FedAvg);
