@@ -24,6 +24,13 @@ fi
 step "cargo test -q"
 cargo test -q --offline
 
+# Root `cargo test` runs only the root package's tests. The workspace
+# crates' own suites — among them float-tensor's kernel properties,
+# gradient checks and pinned training-step bits — run here, in release
+# like the simulator they guard.
+step "workspace crate tests (release)"
+cargo test -q --release --offline --workspace
+
 step "fault-injection property tests"
 cargo test -q --offline --test fault_injection --test sim_properties
 

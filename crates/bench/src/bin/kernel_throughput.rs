@@ -14,9 +14,18 @@
 //! re-reads and validates its own output (`--quick` keeps iteration
 //! counts CI-sized).
 //!
+//! The `results` rows all go through `gemm_nn` at batch 16. The
+//! `layer_calls` rows time each GEMM of one MLP training step exactly as
+//! the `Linear` layer makes it — the same entry point (`gemm_nn`,
+//! `gemm_tn`, `gemm_nt`), operand layouts and strides — at the trained
+//! batch size (20) and a ragged tail batch (7). Each is checked bit-identical to the ascending-order reference of
+//! the same layout first, and timed over several repeats (median and
+//! spread reported). The report opens with a host fingerprint.
+//!
 //! With `--gate`, after writing the report the tool enforces the
-//! committed per-shape `speedup_vs_naive` floors and exits nonzero if any
-//! shape regressed below its floor — the CI kernel-regression gate.
+//! committed per-shape `speedup_vs_naive` floors (both row kinds) and
+//! exits nonzero if any shape regressed below its floor — the CI
+//! kernel-regression gate.
 //!
 //! ```text
 //! kernel_throughput [--quick] [--out PATH] [--gate]
@@ -41,7 +50,7 @@ struct ShapeResult {
     n: usize,
     iters: usize,
     gflops: f64,
-    /// Steady-state rate through the packed-panel cache (B operand hit).
+    /// Steady-state rate through the packed-panel cache (A operand hit).
     cached_gflops: f64,
     naive_gflops: f64,
     speedup_vs_naive: f64,
@@ -54,11 +63,116 @@ struct ShapeResult {
     speedup_vs_pr3: Option<f64>,
 }
 
+/// Which kernel entry point a layer call goes through, and so the
+/// operand layouts.
+#[derive(Debug, Clone, Copy)]
+enum Call {
+    /// `gemm_nn`: `A [m×k]`, weight `B [k×n]` (forward).
+    Nn,
+    /// `gemm_tn`: `A` stored `[k×m]`, `B [k×n]` (weight gradient).
+    Tn,
+    /// `gemm_nt`: `A [m×k]`, weight stored `[n×k]` (input gradient).
+    Nt,
+}
+
+impl Call {
+    fn name(self) -> &'static str {
+        match self {
+            Call::Nn => "gemm_nn",
+            Call::Tn => "gemm_tn",
+            Call::Nt => "gemm_nt",
+        }
+    }
+
+    /// `(a_rs, a_cs, b_rs, b_cs)` of the logical `A'[m×k] · B'[k×n]`.
+    fn strides(self, m: usize, k: usize, n: usize) -> (usize, usize, usize, usize) {
+        match self {
+            Call::Nn => (k, 1, n, 1),
+            Call::Tn => (1, m, n, 1),
+            Call::Nt => (k, 1, 1, k),
+        }
+    }
+
+    fn run(self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+        match self {
+            Call::Nn => kernels::gemm_nn(m, k, n, a, b, out),
+            Call::Tn => kernels::gemm_tn(m, k, n, a, b, out),
+            Call::Nt => kernels::gemm_nt(m, k, n, a, b, out),
+        }
+    }
+}
+
+/// One training-step GEMM timed as the layer calls it.
+#[derive(Serialize)]
+struct LayerCallResult {
+    name: String,
+    /// Kernel entry point the layer calls.
+    call: &'static str,
+    m: usize,
+    k: usize,
+    n: usize,
+    iters: usize,
+    repeats: usize,
+    /// Median over `repeats` timed loops of `iters` calls.
+    gflops: f64,
+    /// Lowest and highest of the repeats.
+    gflops_min: f64,
+    gflops_max: f64,
+    /// Ascending-order triple loop over the same layout, median of the
+    /// same repeats.
+    naive_gflops: f64,
+    speedup_vs_naive: f64,
+}
+
+/// Where and how the numbers were measured.
+#[derive(Serialize)]
+struct Host {
+    /// `std::thread::available_parallelism` (what `nproc` reports).
+    nproc: usize,
+    /// Vector extensions this binary was compiled to use.
+    target_features: Vec<&'static str>,
+    /// `rustc --version` on the `PATH` at run time, or `unknown`.
+    rustc: String,
+    /// `git rev-parse --short HEAD` at run time, or `none`.
+    git_rev: String,
+    /// Timed repeats per layer-call row (the spread is their min..max).
+    repeats: usize,
+}
+
+/// Vector extensions enabled at compile time, in a fixed order.
+fn target_features() -> Vec<&'static str> {
+    let mut f = Vec::new();
+    macro_rules! probe {
+        ($($name:tt),*) => {$(
+            if cfg!(target_feature = $name) {
+                f.push($name);
+            }
+        )*};
+    }
+    probe!("sse2", "sse4.2", "avx", "avx2", "fma", "avx512f", "avx512bw", "avx512vl", "neon");
+    f
+}
+
+/// First line of a command's stdout, or `fallback` if it cannot run.
+fn command_line(cmd: &str, args: &[&str], fallback: &str) -> String {
+    std::process::Command::new(cmd)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .and_then(|s| s.lines().next().map(str::to_string))
+        .unwrap_or_else(|| fallback.to_string())
+}
+
 #[derive(Serialize)]
 struct BenchReport {
     benchmark: String,
     quick: bool,
+    host: Host,
     results: Vec<ShapeResult>,
+    /// Every GEMM of one MLP proxy training step, as the layers call them.
+    layer_calls: Vec<LayerCallResult>,
     /// Geometric mean of `gflops` over all shapes.
     geomean_gflops: f64,
     /// Geometric mean of `speedup_vs_naive` over all shapes.
@@ -100,6 +214,150 @@ const SPEEDUP_FLOORS: &[(&str, f64)] = &[
     ("square_128", 8.0),
     ("square_256", 8.0),
 ];
+
+/// Committed `speedup_vs_naive` floors for the `layer_calls` rows: about
+/// half the lowest of three measured quick-mode runs (2-core x86-64 with
+/// AVX-512, shared), like [`SPEEDUP_FLOORS`] leaving headroom for timer
+/// noise on a loaded host.
+const LAYER_SPEEDUP_FLOORS: &[(&str, f64)] = &[
+    ("layer_fwd_l0_m20", 6.5),
+    ("layer_fwd_l1_m20", 2.2),
+    ("layer_bwd_gw_l1_m20", 3.9),
+    ("layer_bwd_gin_l1_m20", 3.6),
+    ("layer_bwd_gw_l0_m20", 7.6),
+    ("layer_fwd_l0_m7", 6.5),
+    ("layer_fwd_l1_m7", 2.7),
+    ("layer_bwd_gw_l1_m7", 2.2),
+    ("layer_bwd_gin_l1_m7", 2.9),
+    ("layer_bwd_gw_l0_m7", 5.2),
+];
+
+/// Ascending-`p` triple loop over strided operands: `A'[i][p] =
+/// a[i*a_rs + p*a_cs]`, `B'[p][j] = b[p*b_rs + j*b_cs]`.
+#[allow(clippy::too_many_arguments)]
+fn naive_strided(
+    (m, k, n): (usize, usize, usize),
+    a: &[f32],
+    (a_rs, a_cs): (usize, usize),
+    b: &[f32],
+    (b_rs, b_cs): (usize, usize),
+    out: &mut [f32],
+) {
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for p in 0..k {
+                acc += a[i * a_rs + p * a_cs] * b[p * b_rs + j * b_cs];
+            }
+            out[i * n + j] = acc;
+        }
+    }
+}
+
+fn median(v: &mut [f64]) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let mid = v.len() / 2;
+    if v.len() % 2 == 1 {
+        v[mid]
+    } else {
+        (v[mid - 1] + v[mid]) / 2.0
+    }
+}
+
+/// Time every GEMM of one training step of the MLP proxy
+/// (24 → 128 → 10) at batch `m`, through the entry point and layouts the
+/// layers use.
+fn bench_layer_calls(m: usize, quick: bool, repeats: usize) -> Vec<LayerCallResult> {
+    // (row, entry point, m, k, n) of: forward layer 0 and 1, the weight
+    // gradient of layer 1, the input gradient of layer 1, and the weight
+    // gradient of layer 0 (layer 0 has no input gradient).
+    let calls = [
+        ("layer_fwd_l0", Call::Nn, m, 24, 128),
+        ("layer_fwd_l1", Call::Nn, m, 128, 10),
+        ("layer_bwd_gw_l1", Call::Tn, 128, m, 10),
+        ("layer_bwd_gin_l1", Call::Nt, m, 10, 128),
+        ("layer_bwd_gw_l0", Call::Tn, 24, m, 128),
+    ];
+    let mut rows = Vec::new();
+    for (name, call, m_, k, n) in calls {
+        let name = format!("{name}_m{m}");
+        let (a_rs, a_cs, b_rs, b_cs) = call.strides(m_, k, n);
+        let a = random_vec(m_ * k, 0xA7);
+        let b = random_vec(k * n, 0x7A);
+        let mut reference = vec![0.0f32; m_ * n];
+        naive_strided(
+            (m_, k, n),
+            &a,
+            (a_rs, a_cs),
+            &b,
+            (b_rs, b_cs),
+            &mut reference,
+        );
+        let mut out = vec![f32::NAN; m_ * n];
+        call.run(m_, k, n, &a, &b, &mut out);
+        assert!(
+            out.iter()
+                .zip(&reference)
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "{name}: {} diverged from the ascending-order reference",
+            call.name()
+        );
+        let flops = 2.0 * (m_ * k * n) as f64;
+        let iters = if quick {
+            2000
+        } else {
+            ((2e8 / flops).ceil() as usize).clamp(20, 200_000)
+        };
+        let mut fast = Vec::new();
+        let mut slow = Vec::new();
+        for _ in 0..repeats {
+            let start = Instant::now();
+            for _ in 0..iters {
+                call.run(m_, k, n, black_box(&a), black_box(&b), &mut out);
+                black_box(&out);
+            }
+            fast.push(flops * iters as f64 / start.elapsed().as_secs_f64().max(1e-12) / 1e9);
+            let start = Instant::now();
+            for _ in 0..iters {
+                naive_strided(
+                    (m_, k, n),
+                    black_box(&a),
+                    (a_rs, a_cs),
+                    black_box(&b),
+                    (b_rs, b_cs),
+                    &mut out,
+                );
+                black_box(&out);
+            }
+            slow.push(flops * iters as f64 / start.elapsed().as_secs_f64().max(1e-12) / 1e9);
+        }
+        let gflops_min = fast.iter().copied().fold(f64::INFINITY, f64::min);
+        let gflops_max = fast.iter().copied().fold(0.0, f64::max);
+        let gflops = median(&mut fast);
+        let naive_gflops = median(&mut slow);
+        let speedup_vs_naive = gflops / naive_gflops.max(1e-12);
+        eprintln!(
+            "  {name:>22} {:>16} ({m_:>3}x{k:>3}x{n:>3}): {gflops:7.2} GFLOP/s \
+             [{gflops_min:.2}..{gflops_max:.2}] (naive {naive_gflops:6.2}, x{speedup_vs_naive:.2})",
+            call.name()
+        );
+        rows.push(LayerCallResult {
+            name,
+            call: call.name(),
+            m: m_,
+            k,
+            n,
+            iters,
+            repeats,
+            gflops,
+            gflops_min,
+            gflops_max,
+            naive_gflops,
+            speedup_vs_naive,
+        });
+    }
+    rows
+}
 
 /// Ascending-`p` triple loop — the pre-kernel implementation, kept here as
 /// the honest baseline and bitwise reference.
@@ -191,7 +449,7 @@ fn main() {
         // miss (pack) and hit (replay) calls.
         let mut cache = PanelCache::new();
         for pass in 0..2 {
-            kernels::gemm_nn_b_cached(m, k, n, &a, &b, 1, &mut out, &mut cache);
+            kernels::gemm_nn_a_cached(m, k, n, &a, 1, &b, &mut out, &mut cache);
             assert!(
                 out.iter()
                     .zip(&reference)
@@ -214,18 +472,18 @@ fn main() {
         }
         let blocked_s = start.elapsed().as_secs_f64();
 
-        // Steady-state cached path: the B panels were packed above, so
-        // every timed iteration is a pure hit — the per-step reuse the
-        // model scratch sees within one forward/backward.
+        // Steady-state cached path: the A panels were packed above, so
+        // every timed iteration is a pure hit — the per-sample reuse the
+        // conv forward sees within one batch.
         let start = Instant::now();
         for _ in 0..iters {
-            kernels::gemm_nn_b_cached(
+            kernels::gemm_nn_a_cached(
                 m,
                 k,
                 n,
                 black_box(&a),
-                black_box(&b),
                 1,
+                black_box(&b),
                 &mut out,
                 &mut cache,
             );
@@ -267,6 +525,10 @@ fn main() {
         });
     }
 
+    let repeats = if quick { 3 } else { 7 };
+    let mut layer_calls = bench_layer_calls(20, quick, repeats);
+    layer_calls.extend(bench_layer_calls(7, quick, repeats));
+
     // End-to-end im2col convolution: forward + backward over a batch.
     let shape = FeatureShape::new(2, 8, 8);
     let (oc, kernel, batch) = (8usize, 3usize, 16usize);
@@ -303,10 +565,19 @@ fn main() {
          x{geomean_speedup_vs_pr3:.2} vs PR 3"
     );
 
+    let host = Host {
+        nproc: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        target_features: target_features(),
+        rustc: command_line("rustc", &["--version"], "unknown"),
+        git_rev: command_line("git", &["rev-parse", "--short", "HEAD"], "none"),
+        repeats,
+    };
     let report = BenchReport {
         benchmark: "kernel_throughput".to_string(),
         quick,
+        host,
         results,
+        layer_calls,
         geomean_gflops,
         geomean_speedup_vs_naive,
         geomean_speedup_vs_pr3,
@@ -331,6 +602,24 @@ fn main() {
             selfcheck::assert_positive(g, field);
         }
     }
+    let parsed_layers = v
+        .get("layer_calls")
+        .and_then(|r| r.as_array())
+        .expect("layer_calls array present");
+    assert_eq!(
+        parsed_layers.len(),
+        LAYER_SPEEDUP_FLOORS.len(),
+        "one row per layer call"
+    );
+    for entry in parsed_layers {
+        for field in ["gflops", "gflops_min", "gflops_max", "naive_gflops"] {
+            let g = entry
+                .get(field)
+                .and_then(|g| g.as_f64())
+                .expect("rate present");
+            selfcheck::assert_positive(g, field);
+        }
+    }
     let cg = v
         .get("conv_fwd_bwd_gflops")
         .and_then(|g| g.as_f64())
@@ -343,7 +632,8 @@ fn main() {
         // enforce the committed floors on the parsed values (so the gate
         // exercises the same parse path CI depends on).
         let mut failed = false;
-        for entry in parsed {
+        let floors = SPEEDUP_FLOORS.iter().chain(LAYER_SPEEDUP_FLOORS);
+        for entry in parsed.iter().chain(parsed_layers) {
             let name = entry
                 .get("name")
                 .and_then(|s| s.as_str())
@@ -352,8 +642,8 @@ fn main() {
                 .get("speedup_vs_naive")
                 .and_then(|g| g.as_f64())
                 .expect("speedup present");
-            let floor = SPEEDUP_FLOORS
-                .iter()
+            let floor = floors
+                .clone()
                 .find(|(s, _)| *s == name)
                 .map(|&(_, f)| f)
                 .unwrap_or_else(|| panic!("no committed floor for shape {name}"));

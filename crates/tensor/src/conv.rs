@@ -150,9 +150,10 @@ pub struct Conv2d {
     cols: Tensor,
     /// Reusable column-gradient buffer for the backward pass.
     grad_cols: Tensor,
-    /// Packed-panel memo for the weight operand: the per-sample GEMM loops
-    /// replay one packed weight across the whole batch (forward) and one
-    /// packed transposed view (backward) instead of re-packing per sample.
+    /// Packed-panel memo for the forward weight operand: the per-sample
+    /// GEMM loop replays one packed weight across the whole batch instead
+    /// of re-packing per sample. (The backward product reads the weight's
+    /// transposed view in place, so it needs no memo.)
     panels: kernels::PanelCache,
 }
 
@@ -308,7 +309,6 @@ impl Conv2d {
         let mut grad_in = Tensor::zeros(n, self.input.len());
         let mut cols = std::mem::take(&mut self.cols);
         let mut gcols = std::mem::take(&mut self.grad_cols);
-        let mut panels = std::mem::take(&mut self.panels);
         cols.resize(fan_in, hw);
         gcols.resize(fan_in, hw);
         for b in 0..n {
@@ -329,15 +329,13 @@ impl Conv2d {
                 self.grad_bias.set(0, oc, cur + s);
             }
             // grad_cols = weightᵀ · grad_out, scattered back through col2im.
-            kernels::gemm_tn_a_cached(
+            kernels::gemm_tn(
                 fan_in,
                 self.out_channels,
                 hw,
                 self.weight.data(),
-                self.weight.stamp(),
                 g,
                 gcols.data_mut(),
-                &mut panels,
             );
             col2im_acc(
                 self.input,
@@ -348,7 +346,6 @@ impl Conv2d {
         }
         self.cols = cols;
         self.grad_cols = gcols;
-        self.panels = panels;
         Ok(grad_in)
     }
 }

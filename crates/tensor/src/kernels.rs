@@ -2,73 +2,87 @@
 //!
 //! The FL experiments spend nearly all wall-clock inside the three GEMM
 //! variants (`matmul`, `t_matmul`, `matmul_t`) and the convolution loops.
-//! This module is the single place that work happens: a packed-panel GEMM
-//! with register micro-kernels widened per call shape, a packed-panel
-//! reuse cache for operands that recur across calls (weights packed for
-//! forward and again for backward, conv weights re-packed per sample),
-//! plus the fused elementwise passes (bias+ReLU forward, ReLU-mask
-//! backward) the layers use.
+//! This module is the single place that work happens: a blocked GEMM with
+//! register micro-kernels fitted per call shape, which reads contiguous
+//! operands in place and packs only strided ones, a packed-panel reuse
+//! cache for the conv weight that recurs across a batch, plus the fused
+//! elementwise passes (bias+ReLU forward, ReLU-mask backward) the layers
+//! use.
 //!
 //! # Design
 //!
-//! - **Blocking.** The driver tiles `C[m×n] = Σ_p A'[m×k]·B'[k×n]` with
-//!   the classic three-loop structure: `NC`-wide column panels of `B`,
-//!   `KC`-deep depth panels, `MC`-tall row panels of `A`. Each panel is
-//!   packed into a contiguous, tile-major scratch buffer so the micro-kernel
-//!   streams with unit stride regardless of the logical layout — the same
-//!   packing routine serves the `N·N`, `T·N`, and `N·T` variants by
-//!   walking the source with configurable row/column strides.
-//! - **Micro-kernels.** `MR×NR` accumulator blocks updated over the packed
-//!   depth dimension, monomorphized over the tile shape (`4×8`, `8×8`,
-//!   `4×16`) and selected once per GEMM call as a pure function of
-//!   `(m, n)` — see [`select_tile`]. All loop bounds are compile-time
-//!   constants over fixed-size arrays and `chunks_exact` slices, so LLVM
-//!   fully unrolls and autovectorizes the inner loop; there is no
-//!   per-element branching. Wider tiles amortize each packed-`B` load over
-//!   more rows of `C`, which pays off once the target has registers for
-//!   the accumulator block (the workspace builds with `target-cpu=native`,
-//!   see `.cargo/config.toml`).
+//! - **Blocking.** The driver tiles `C[m×n] = Σ_p A'[i][p]·B'[p][j]` with
+//!   the classic three-loop structure: `NC`-wide column panels of `B'`,
+//!   `KC`-deep depth panels, `MC`-tall row panels of `A'`. Both operands
+//!   are handled as *lane-major* views: for `A'` a lane is a row, for
+//!   `B'` a column, and one micro-kernel step reads, for one depth `p`, a
+//!   group of adjacent lanes (the `R` rows it broadcasts, or the `C`
+//!   columns it loads as vectors).
+//! - **In-place operands.** When a view's lanes are adjacent in memory
+//!   (`B'` rows with unit column stride, as in every `N·N` and `T·N`
+//!   product; `A'` columns with unit row stride, as in `T·N`'s transposed
+//!   left operand) the micro-kernel reads its groups straight from the
+//!   source at the source's depth stride, and nothing is packed. Only a
+//!   strided view (the `N·T` weight, an `N·N` left operand) is packed into
+//!   contiguous tile-major scratch, and so is the ragged edge tile of an
+//!   in-place view, which needs zero padding.
+//! - **Micro-kernels.** `R×C` accumulator blocks updated over the depth
+//!   dimension, monomorphized per tile shape. The tile (`8×8`, `4×16`,
+//!   or the `4×8` reference, each at most eight 256-bit accumulators) is
+//!   picked once per call as a pure function of the output shape
+//!   ([`select_tile`]); a ragged edge runs the same kernel over
+//!   zero-padded lanes. Loop bounds are compile-time constants over
+//!   fixed-size arrays, so LLVM unrolls and vectorizes the inner loop with
+//!   no per-element branching. Wider blocks are out of reach in safe Rust
+//!   here: an `8×16` block needs sixteen 256-bit accumulators, which spill
+//!   (measured at ~1/10th of `8×8`), and 512-bit vectors need either
+//!   intrinsics (this crate forbids `unsafe`) or rustc's unstable
+//!   `-prefer-256-bit` override.
 //! - **Determinism.** For every output element the reduction over the
-//!   depth dimension runs in ascending index order: ascending `p` inside a
-//!   depth panel, panels visited in ascending order, partial sums committed
-//!   to `C` per panel. The order is a pure function of the operand *shape* —
-//!   never of thread count, data values, tile width, or cache state — so
-//!   results are bit-identical run-to-run, across the round engine's
-//!   worker-pool sizes, and across every micro-kernel variant: widening
-//!   `MR×NR` only changes *which* output elements a register block covers,
-//!   not the order any single element's dot product accumulates in
-//!   (zero-padded edge lanes feed accumulator slots that are never
-//!   committed). For `k ≤ KC` (every shape on the MLP hot path) the
-//!   reduction degenerates to a single ascending pass, which is
-//!   bit-identical to the pre-kernel naive loops on finite inputs.
-//! - **Packed-panel reuse.** Within one training step the same weight
-//!   matrix is packed for the forward pass and again for the backward pass,
-//!   and the conv layers re-pack their weight for every sample of a batch.
-//!   [`PanelCache`] memoizes fully packed operands keyed by *(generation
-//!   stamp, shape, strides, tile width)* — the stamp (see
-//!   [`crate::Tensor`]) changes on every mutation, so a hit is guaranteed
-//!   to replay byte-identical packed panels and results cannot depend on
-//!   cache state.
+//!   depth dimension runs in ascending index order from `0.0`: ascending
+//!   `p` inside a depth panel, panels visited in ascending order, partial
+//!   sums committed to `C` per panel. No fused multiply-add is ever
+//!   formed. The order is a pure function of the operand *shape* — never
+//!   of thread count, data values, tile width, operand placement, or
+//!   cache state — so results are bit-identical run-to-run,
+//!   across the round engine's worker-pool sizes, and across every
+//!   micro-kernel variant: a tile shape only changes *which* output
+//!   elements a register block covers, not the order any single element's
+//!   dot product accumulates in (zero-padded edge lanes feed accumulator
+//!   slots that are never committed). For `k ≤ KC` (every shape on the MLP
+//!   hot path) the reduction degenerates to a single ascending pass, which
+//!   is bit-identical to the pre-kernel naive loops on finite inputs.
+//! - **Packed-panel reuse.** The conv forward product's weight, a strided
+//!   left operand that recurs for every sample of a batch, is memoized in
+//!   a [`PanelCache`] keyed by *(generation stamp, shape, strides, tile
+//!   width)*; the stamp (see [`crate::Tensor`]) changes on every mutation,
+//!   so a hit is guaranteed to replay byte-identical packed panels and
+//!   results cannot depend on cache state. The MLP's products need no
+//!   cache: their weights are read in place, except the input-gradient
+//!   product's transposed view, which every optimizer step re-stamps
+//!   before it could recur.
 //! - **Allocation.** Packing buffers are thread-local and grown once;
 //!   steady-state calls perform zero heap allocation. The `*_into` entry
 //!   points on [`crate::Tensor`] write into caller-owned scratch.
 //!
 //! Inputs containing NaN/Inf propagate through (IEEE semantics); nothing
 //! here filters non-finite values, so poisoned updates stay poisoned until
-//! the server-side quarantine sees them.
+//! the server-side quarantine sees them. A NaN's payload is not pinned:
+//! when both factors of a product are NaN, which payload survives is up to
+//! the compiler (LLVM may commute a multiply when it vectorizes).
 
 use std::cell::RefCell;
 
-/// Rows of the *reference* micro-kernel (the narrowest tile, used for
+/// Rows of the *reference* micro-kernel (the narrowest main tile, used for
 /// small shapes; wider variants are selected by [`select_tile`]).
 pub const MR: usize = 4;
-/// Columns of the reference micro-kernel.
+/// Columns (vector lanes) of the reference micro-kernel.
 pub const NR: usize = 8;
-/// Row-panel height of packed `A` blocks.
+/// Row-panel height of `A'` blocks.
 const MC: usize = 64;
-/// Depth of packed panels; reductions with `k ≤ KC` are single-pass.
+/// Depth of panels; reductions with `k ≤ KC` are single-pass.
 const KC: usize = 256;
-/// Column-panel width of packed `B` blocks.
+/// Column-panel width of `B'` blocks.
 const NC: usize = 256;
 
 thread_local! {
@@ -76,49 +90,60 @@ thread_local! {
     static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The register tile shapes the dispatcher can pick from.
-///
-/// An `8×16` variant was measured and rejected: its accumulator block
-/// exceeds what LLVM will keep in vector registers here, and the spills
-/// collapse throughput to ~1/10th of the `8×8` tile. The three retained
-/// shapes all fit comfortably (≤ 8 × 256-bit accumulators).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tile {
-    T4x8,
-    T8x8,
-    T4x16,
+/// A read-only strided matrix view: element `(i, j)` is
+/// `data[i * rs + j * cs]`.
+#[derive(Debug, Clone, Copy)]
+struct View<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
 }
 
-/// Choose the micro-kernel once per GEMM call. A pure function of the
-/// *output* shape `(m, n)` only — never of `k`, data values, or cache
-/// state — so the packing layout (and therefore the panel-cache key) is
-/// reproducible from the call shape alone.
-///
-/// Tall-enough outputs take the `8×8` tile (each packed-`B` load is
-/// reused across 8 rows of `C` — the fastest measured variant on every
-/// benched hot-path shape); short-and-wide outputs take `4×16` (one
-/// packed-`B` load feeds 16 lanes when there aren't enough rows to go
-/// tall). Small leftovers fall back to the `4×8` reference tile.
-fn select_tile(m: usize, n: usize) -> Tile {
-    if m >= 8 && n >= 8 {
-        Tile::T8x8
-    } else if n >= 16 {
-        Tile::T4x16
-    } else {
-        Tile::T4x8
+impl View<'_> {
+    /// The same storage read as the transposed matrix.
+    fn t(self) -> Self {
+        View {
+            data: self.data,
+            rs: self.cs,
+            cs: self.rs,
+        }
+    }
+
+    /// Whether a lane-major view (`lanes × depth`) can feed the
+    /// micro-kernel's vector loads without packing: its lanes are adjacent
+    /// for every depth, and one depth's lanes never overlap the next
+    /// depth's.
+    fn in_place(self, lanes: usize) -> bool {
+        self.rs == 1 && self.cs >= lanes
     }
 }
 
-/// Dispatch a generic GEMM entry point over the tile selected for
-/// `(m, n)`. The callee is monomorphized per tile shape.
-macro_rules! with_tile {
-    ($m:expr, $n:expr, $f:ident ( $($args:expr),* $(,)? )) => {
-        match select_tile($m, $n) {
-            Tile::T4x8 => $f::<4, 8>($($args),*),
-            Tile::T8x8 => $f::<8, 8>($($args),*),
-            Tile::T4x16 => $f::<4, 16>($($args),*),
-        }
-    };
+/// A register tile: `r` broadcast rows × `c` vector lanes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Tile {
+    r: usize,
+    c: usize,
+}
+
+/// Choose the micro-kernel once per GEMM call, as a pure function of the
+/// output shape `(m, n)` only — never of `k`, data values, or cache state —
+/// so the packing layout (and therefore the panel-cache key) is
+/// reproducible from the call shape alone.
+///
+/// Tall-enough outputs take `8×8` (each `B'` load is reused across 8 rows
+/// of `C`); short, wide outputs take `4×16` (one `A'` broadcast feeds 16
+/// lanes); small leftovers fall back to the `4×8` reference tile. An
+/// `8×16` tile was measured and rejected: its sixteen 256-bit accumulators
+/// exceed the register file and the spills collapse throughput to ~1/10th
+/// of `8×8`.
+fn select_tile(m: usize, n: usize) -> Tile {
+    if m >= 8 && n >= 8 {
+        Tile { r: 8, c: 8 }
+    } else if n >= 16 {
+        Tile { r: 4, c: 16 }
+    } else {
+        Tile { r: MR, c: NR }
+    }
 }
 
 /// `C[m×n] = A[m×k] · B[k×n]`, all row-major. Overwrites `out`.
@@ -127,110 +152,36 @@ macro_rules! with_tile {
 ///
 /// Panics (debug and release) if a slice is shorter than its shape implies.
 pub fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    gemm_strided(m, k, n, a, k, 1, b, n, 1, out, false);
+    gemm(m, k, n, nn_a(a, k), nn_b(b, n), out, false, None);
 }
 
 /// `C[m×n] += A[m×k] · B[k×n]`, all row-major.
 pub fn gemm_nn_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    gemm_strided(m, k, n, a, k, 1, b, n, 1, out, true);
+    gemm(m, k, n, nn_a(a, k), nn_b(b, n), out, true, None);
 }
 
 /// `C[m×n] = Aᵀ · B` where `A` is stored row-major `[k×m]` (so the logical
 /// left operand is its transpose) and `B` is `[k×n]`. Overwrites `out`.
 pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    gemm_strided(m, k, n, a, 1, m, b, n, 1, out, false);
+    gemm(m, k, n, tn_a(a, m), nn_b(b, n), out, false, None);
 }
 
 /// `C[m×n] = A · Bᵀ` where `A` is `[m×k]` and `B` is stored row-major
 /// `[n×k]`. Overwrites `out`.
 pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    gemm_strided(m, k, n, a, k, 1, b, 1, k, out, false);
+    gemm(m, k, n, nn_a(a, k), nt_b(b, k), out, false, None);
 }
 
 /// `C[m×n] += A · Bᵀ` where `A` is `[m×k]` and `B` is stored row-major
 /// `[n×k]` (used to accumulate conv weight gradients across a batch).
 pub fn gemm_nt_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    gemm_strided(m, k, n, a, k, 1, b, 1, k, out, true);
-}
-
-/// [`gemm_nn`] with the `B` operand's packed panels memoized in `cache`,
-/// keyed by `b_stamp` (the owning tensor's generation stamp). Used by the
-/// layer forward pass, where the same weight matrix serves every batch of
-/// an evaluation sweep and both passes of a training step.
-#[allow(clippy::too_many_arguments)] // GEMM shape + strides + stamp: splitting loses clarity
-pub fn gemm_nn_b_cached(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    b_stamp: u64,
-    out: &mut [f32],
-    cache: &mut PanelCache,
-) {
-    with_tile!(
-        m,
-        n,
-        gemm_cached(
-            m,
-            k,
-            n,
-            a,
-            k,
-            1,
-            b,
-            n,
-            1,
-            out,
-            false,
-            cache,
-            Side::B,
-            b_stamp
-        )
-    );
-}
-
-/// `C[m×n] = A · Bᵀ` (`B` stored `[n×k]`) with `B`'s packed panels
-/// memoized — the backward input-gradient product, which reuses the same
-/// weight matrix the forward pass just packed (under its transposed
-/// strides, so it occupies a distinct cache entry).
-#[allow(clippy::too_many_arguments)] // GEMM shape + strides + stamp: splitting loses clarity
-pub fn gemm_nt_b_cached(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    b_stamp: u64,
-    out: &mut [f32],
-    cache: &mut PanelCache,
-) {
-    with_tile!(
-        m,
-        n,
-        gemm_cached(
-            m,
-            k,
-            n,
-            a,
-            k,
-            1,
-            b,
-            1,
-            k,
-            out,
-            false,
-            cache,
-            Side::B,
-            b_stamp
-        )
-    );
+    gemm(m, k, n, nn_a(a, k), nt_b(b, k), out, true, None);
 }
 
 /// [`gemm_nn`] with the `A` operand's packed panels memoized — the conv
 /// forward product, where one weight matrix is the left operand for every
 /// sample of the batch.
-#[allow(clippy::too_many_arguments)] // GEMM shape + strides + stamp: splitting loses clarity
+#[allow(clippy::too_many_arguments)] // GEMM shape + stamp + cache: splitting loses clarity
 pub fn gemm_nn_a_cached(
     m: usize,
     k: usize,
@@ -241,185 +192,99 @@ pub fn gemm_nn_a_cached(
     out: &mut [f32],
     cache: &mut PanelCache,
 ) {
-    with_tile!(
-        m,
-        n,
-        gemm_cached(
-            m,
-            k,
-            n,
-            a,
-            k,
-            1,
-            b,
-            n,
-            1,
-            out,
-            false,
-            cache,
-            Side::A,
-            a_stamp
-        )
-    );
+    let memo = Some((cache, a_stamp));
+    gemm(m, k, n, nn_a(a, k), nn_b(b, n), out, false, memo);
 }
 
-/// [`gemm_tn`] (`A` stored `[k×m]`) with `A`'s packed panels memoized —
-/// the conv backward column-gradient product, which replays the same
-/// transposed weight for every sample of the batch.
-#[allow(clippy::too_many_arguments)] // GEMM shape + strides + stamp: splitting loses clarity
-pub fn gemm_tn_a_cached(
+/// `A'` of a row-major `[m×k]` left operand.
+fn nn_a(a: &[f32], k: usize) -> View<'_> {
+    View {
+        data: a,
+        rs: k,
+        cs: 1,
+    }
+}
+
+/// `A' = Aᵀ` of a left operand stored row-major `[k×m]`.
+fn tn_a(a: &[f32], m: usize) -> View<'_> {
+    View {
+        data: a,
+        rs: 1,
+        cs: m,
+    }
+}
+
+/// `B'` of a row-major `[k×n]` right operand.
+fn nn_b(b: &[f32], n: usize) -> View<'_> {
+    View {
+        data: b,
+        rs: n,
+        cs: 1,
+    }
+}
+
+/// `B' = Bᵀ` of a right operand stored row-major `[n×k]`.
+fn nt_b(b: &[f32], k: usize) -> View<'_> {
+    View {
+        data: b,
+        rs: 1,
+        cs: k,
+    }
+}
+
+/// A memoization request for the left operand: the cache and the
+/// operand's generation stamp.
+type Memo<'c> = Option<(&'c mut PanelCache, u64)>;
+
+/// GEMM driver: `C[i][j] (+)= Σ_p A'[i][p] · B'[p][j]` with `C` row-major
+/// `[m×n]`, zeroed first unless `accumulate`. Picks the tile from the
+/// shape, resolves (or builds) a memoized packing of `A'` when it must be
+/// packed at all, then runs the blocked kernel.
+#[allow(clippy::too_many_arguments)] // GEMM shape + operands + memo: splitting loses clarity
+fn gemm(
     m: usize,
     k: usize,
     n: usize,
-    a: &[f32],
-    a_stamp: u64,
-    b: &[f32],
-    out: &mut [f32],
-    cache: &mut PanelCache,
-) {
-    with_tile!(
-        m,
-        n,
-        gemm_cached(
-            m,
-            k,
-            n,
-            a,
-            1,
-            m,
-            b,
-            n,
-            1,
-            out,
-            false,
-            cache,
-            Side::A,
-            a_stamp
-        )
-    );
-}
-
-/// Strided GEMM driver: `C[i][j] (+)= Σ_p A'[i][p] · B'[p][j]` where
-/// `A'[i][p] = a[i*a_rs + p*a_cs]` and `B'[p][j] = b[p*b_rs + j*b_cs]`.
-/// `out` is row-major `[m×n]` and is zeroed first unless `accumulate`.
-#[allow(clippy::too_many_arguments)]
-fn gemm_strided(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    a_rs: usize,
-    a_cs: usize,
-    b: &[f32],
-    b_rs: usize,
-    b_cs: usize,
+    a: View<'_>,
+    b: View<'_>,
     out: &mut [f32],
     accumulate: bool,
+    memo: Memo<'_>,
 ) {
-    with_tile!(
-        m,
-        n,
-        gemm_blocked(m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, None, None, out, accumulate)
-    );
-}
-
-/// Which operand of a cached GEMM the panel cache memoizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    A,
-    B,
-}
-
-/// Cached-GEMM driver body: resolve (or build) the memoized packed
-/// operand, then run the blocked kernel against it. Monomorphized per
-/// tile shape by [`with_tile!`].
-#[allow(clippy::too_many_arguments)]
-fn gemm_cached<const R: usize, const C: usize>(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    a_rs: usize,
-    a_cs: usize,
-    b: &[f32],
-    b_rs: usize,
-    b_cs: usize,
-    out: &mut [f32],
-    accumulate: bool,
-    cache: &mut PanelCache,
-    side: Side,
-    stamp: u64,
-) {
+    assert!(out.len() >= m * n, "output buffer too small for {m}x{n}");
+    if !accumulate {
+        out[..m * n].fill(0.0);
+    }
     if m == 0 || n == 0 || k == 0 {
-        // Degenerate shapes never touch the cache; the blocked driver
-        // handles the zero-fill contract.
-        gemm_blocked::<R, C>(
-            m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, None, None, out, accumulate,
-        );
         return;
     }
-    let idx = match side {
-        Side::A => cache.ensure(
-            PanelKey {
+    // Both operands as lane-major `lanes × depth` views: A' as is, B'
+    // transposed (its lanes are columns).
+    let b = b.t();
+    let tile = select_tile(m, n);
+    let cached_a = match memo {
+        Some((cache, stamp)) if !a.in_place(m) => {
+            let key = PanelKey {
                 stamp,
-                side: Side::A,
-                rows: m,
-                cols: k,
-                rs: a_rs,
-                cs: a_cs,
-                tile: R,
-            },
-            |buf, offsets| pack_a_all::<R>(buf, offsets, a, a_rs, a_cs, m, k),
-        ),
-        Side::B => cache.ensure(
-            PanelKey {
-                stamp,
-                side: Side::B,
-                rows: k,
-                cols: n,
-                rs: b_rs,
-                cs: b_cs,
-                tile: C,
-            },
-            |buf, offsets| pack_b_all::<C>(buf, offsets, b, b_rs, b_cs, k, n),
-        ),
+                lanes: m,
+                depth: k,
+                rs: a.rs,
+                cs: a.cs,
+                tile: tile.r,
+            };
+            let idx = cache.ensure(key, |buf, offsets| pack_all(buf, offsets, a, m, k, tile.r));
+            let entry = &cache.entries[idx];
+            Some(PanelRef {
+                buf: &entry.buf,
+                offsets: &entry.offsets,
+            })
+        }
+        _ => None,
     };
-    let entry = &cache.entries[idx];
-    let panels = PanelRef {
-        buf: &entry.buf,
-        offsets: &entry.offsets,
-    };
-    match side {
-        Side::A => gemm_blocked::<R, C>(
-            m,
-            k,
-            n,
-            a,
-            a_rs,
-            a_cs,
-            b,
-            b_rs,
-            b_cs,
-            Some(panels),
-            None,
-            out,
-            accumulate,
-        ),
-        Side::B => gemm_blocked::<R, C>(
-            m,
-            k,
-            n,
-            a,
-            a_rs,
-            a_cs,
-            b,
-            b_rs,
-            b_cs,
-            None,
-            Some(panels),
-            out,
-            accumulate,
-        ),
+    match (tile.r, tile.c) {
+        (8, 8) => gemm_blocked::<8, 8>(m, k, n, a, b, cached_a, out),
+        (4, 16) => gemm_blocked::<4, 16>(m, k, n, a, b, cached_a, out),
+        _ => gemm_blocked::<MR, NR>(m, k, n, a, b, cached_a, out),
     }
 }
 
@@ -431,68 +296,48 @@ struct PanelRef<'a> {
     offsets: &'a [usize],
 }
 
-/// Blocked GEMM over one monomorphized `R×C` tile shape. When a cached
-/// packed operand is supplied its panels are consumed in place of the
-/// thread-local packing buffers; the packed bytes are identical either
-/// way, so results cannot depend on cache state.
-#[allow(clippy::too_many_arguments)]
+/// Blocked GEMM over lane-major operand views (`a`: `m × k`, `b`:
+/// `n × k`) with tile `R×C`. Each operand panel is read in place, taken
+/// from its memoized packing (`A'` only), or packed into thread-local
+/// scratch; the micro-kernels see the same values in the same order
+/// either way, so results cannot depend on placement or cache state.
 fn gemm_blocked<const R: usize, const C: usize>(
     m: usize,
     k: usize,
     n: usize,
-    a: &[f32],
-    a_rs: usize,
-    a_cs: usize,
-    b: &[f32],
-    b_rs: usize,
-    b_cs: usize,
+    a: View<'_>,
+    b: View<'_>,
     cached_a: Option<PanelRef<'_>>,
-    cached_b: Option<PanelRef<'_>>,
     out: &mut [f32],
-    accumulate: bool,
 ) {
-    assert!(out.len() >= m * n, "output buffer too small for {m}x{n}");
-    if !accumulate {
-        out[..m * n].fill(0.0);
-    }
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let num_pc = k.div_ceil(KC);
     let num_ic = m.div_ceil(MC);
+    let a_in_place = a.in_place(m);
+    let b_in_place = b.in_place(n);
     PACK_A.with(|pa| {
         PACK_B.with(|pb| {
             let pa = &mut *pa.borrow_mut();
             let pb = &mut *pb.borrow_mut();
-            for (ji, jc) in (0..n).step_by(NC).enumerate() {
+            for jc in (0..n).step_by(NC) {
                 let nc = NC.min(n - jc);
                 for (pi, pc) in (0..k).step_by(KC).enumerate() {
                     let kc = KC.min(k - pc);
-                    let bp: &[f32] = match cached_b {
-                        Some(p) => {
-                            let off = p.offsets[ji * num_pc + pi];
-                            &p.buf[off..off + nc.div_ceil(C) * kc * C]
-                        }
-                        None => {
-                            pb.clear();
-                            pack_b_panel::<C>(pb, b, b_rs, b_cs, pc, kc, jc, nc);
-                            &pb[..]
-                        }
-                    };
+                    pb.clear();
+                    pack_panel(pb, b, jc, nc, pc, kc, C, b_in_place);
+                    let bp = Panel::new(b, jc, pc, nc, kc, C, b_in_place, pb);
                     for (ii, ic) in (0..m).step_by(MC).enumerate() {
                         let mc = MC.min(m - ic);
-                        let ap: &[f32] = match cached_a {
+                        let ap = match cached_a {
                             Some(p) => {
-                                let off = p.offsets[pi * num_ic + ii];
-                                &p.buf[off..off + mc.div_ceil(R) * kc * R]
+                                let buf = &p.buf[p.offsets[pi * num_ic + ii]..];
+                                Panel::packed(buf, mc, R, kc)
                             }
                             None => {
                                 pa.clear();
-                                pack_a_panel::<R>(pa, a, a_rs, a_cs, ic, mc, pc, kc);
-                                &pa[..]
+                                pack_panel(pa, a, ic, mc, pc, kc, R, a_in_place);
+                                Panel::new(a, ic, pc, mc, kc, R, a_in_place, pa)
                             }
                         };
-                        macro_kernel::<R, C>(ap, bp, mc, kc, nc, out, ic, jc, n);
+                        macro_kernel::<R, C>(&ap, &bp, kc, out, n, ic, jc);
                     }
                 }
             }
@@ -500,173 +345,285 @@ fn gemm_blocked<const R: usize, const C: usize>(
     });
 }
 
-/// Append an `mc×kc` panel of `A'` (rows `ic..`, depth `pc..`) to `dst`,
-/// tile-major: tile `t` holds rows `[t*R, t*R+R)` as `kc` groups of `R`
-/// adjacent values. Rows past `mc` pad with zeros so the micro-kernel
-/// never branches on the edge.
+/// Where one micro-tile's operand groups live: the group for depth `p`
+/// (the tile's adjacent lanes) starts at `buf[off + p * ld]`.
+#[derive(Clone, Copy)]
+struct Src<'a> {
+    buf: &'a [f32],
+    off: usize,
+    ld: usize,
+}
+
+/// One operand panel (`len` lanes × `kc` depths) as the macro-kernel
+/// walks it: `len / w` full tiles of `w` lanes, then at most one ragged
+/// edge tile. Full tiles come from `full` (the source itself when read in
+/// place, otherwise the packed buffer); the edge tile is always packed.
+#[derive(Clone, Copy)]
+struct Panel<'a> {
+    /// Full tile 0; tile `t` starts `t * step` further on.
+    full: Src<'a>,
+    step: usize,
+    /// The packed edge tile, if the panel has one.
+    edge: Src<'a>,
+    len: usize,
+    w: usize,
+}
+
+impl<'a> Panel<'a> {
+    /// A panel whose every tile is packed, in [`pack_panel`] layout.
+    fn packed(buf: &'a [f32], len: usize, w: usize, kc: usize) -> Self {
+        let full = len / w;
+        Panel {
+            full: Src { buf, off: 0, ld: w },
+            step: kc * w,
+            edge: Src {
+                buf,
+                off: full * kc * w,
+                ld: w,
+            },
+            len,
+            w,
+        }
+    }
+
+    /// A panel of lane-major view `v` at lanes `l0..l0 + len`, depths
+    /// `pc..pc + kc`, whose [`pack_panel`] output is `packed`: full tiles
+    /// are read from `v` itself when `in_place`, otherwise from `packed`.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        v: View<'a>,
+        l0: usize,
+        pc: usize,
+        len: usize,
+        kc: usize,
+        w: usize,
+        in_place: bool,
+        packed: &'a [f32],
+    ) -> Self {
+        if !in_place {
+            return Panel::packed(packed, len, w, kc);
+        }
+        Panel {
+            full: Src {
+                buf: v.data,
+                off: l0 + pc * v.cs,
+                ld: v.cs,
+            },
+            step: w,
+            edge: Src {
+                buf: packed,
+                off: 0,
+                ld: w,
+            },
+            len,
+            w,
+        }
+    }
+
+    fn tiles(&self) -> usize {
+        self.len.div_ceil(self.w)
+    }
+
+    /// Tile `t`: its source and live lanes.
+    fn tile(&self, t: usize) -> (Src<'a>, usize) {
+        if (t + 1) * self.w <= self.len {
+            let src = Src {
+                off: self.full.off + t * self.step,
+                ..self.full
+            };
+            (src, self.w)
+        } else {
+            (self.edge, self.len - t * self.w)
+        }
+    }
+}
+
+/// Append a panel of lane-major view `v` (lanes `l0..l0 + len`, depths
+/// `pc..pc + kc`) to `dst`, tile-major: full tile `t` holds lanes
+/// `[t*w, t*w + w)` as `kc` groups of `w` adjacent values; a ragged edge
+/// follows in the same layout, zero-padded past the live lanes so the
+/// micro-kernel never branches on the edge. With
+/// `edge_only`, full tiles are skipped (they are read in place).
 #[allow(clippy::too_many_arguments)]
-fn pack_a_panel<const R: usize>(
+fn pack_panel(
     dst: &mut Vec<f32>,
-    a: &[f32],
-    rs: usize,
-    cs: usize,
-    ic: usize,
-    mc: usize,
+    v: View<'_>,
+    l0: usize,
+    len: usize,
+    pc: usize,
+    kc: usize,
+    w: usize,
+    edge_only: bool,
+) {
+    let full = len / w;
+    if !edge_only {
+        for t in 0..full {
+            pack_tile(dst, v, l0 + t * w, w, w, pc, kc);
+        }
+    }
+    let live = len - full * w;
+    if live > 0 {
+        pack_tile(dst, v, l0 + full * w, live, w, pc, kc);
+    }
+}
+
+/// Append one tile (`live` lanes from `l0`, padded to `width`, a tile
+/// width from [`select_tile`]) of `kc` depth groups to `dst`.
+fn pack_tile(
+    dst: &mut Vec<f32>,
+    v: View<'_>,
+    l0: usize,
+    live: usize,
+    width: usize,
     pc: usize,
     kc: usize,
 ) {
-    let tiles = mc.div_ceil(R);
-    let base = dst.len();
-    dst.resize(base + tiles * kc * R, 0.0);
-    let dst = &mut dst[base..];
-    for t in 0..tiles {
-        let tile = &mut dst[t * kc * R..(t + 1) * kc * R];
-        let rows = R.min(mc - t * R);
-        for (p, group) in tile.chunks_exact_mut(R).enumerate() {
-            for (r, slot) in group.iter_mut().take(rows).enumerate() {
-                *slot = a[(ic + t * R + r) * rs + (pc + p) * cs];
-            }
-            // Slots past `rows` stay at the zero fill from `resize`.
-        }
+    // A compile-time width keeps the group walk free of a runtime
+    // division per tile.
+    match width {
+        16 => pack_tile_w::<16>(dst, v, l0, live, pc, kc),
+        8 => pack_tile_w::<8>(dst, v, l0, live, pc, kc),
+        4 => pack_tile_w::<4>(dst, v, l0, live, pc, kc),
+        w => unreachable!("no {w}-lane tile: widths come from select_tile"),
     }
 }
 
-/// Append a `kc×nc` panel of `B'` (depth `pc..`, columns `jc..`) to `dst`,
-/// tile-major: tile `u` holds columns `[u*C, u*C+C)` as `kc` groups of `C`
-/// adjacent values, zero-padded past `nc`.
-#[allow(clippy::too_many_arguments)]
-fn pack_b_panel<const C: usize>(
+fn pack_tile_w<const W: usize>(
     dst: &mut Vec<f32>,
-    b: &[f32],
-    rs: usize,
-    cs: usize,
+    v: View<'_>,
+    l0: usize,
+    live: usize,
     pc: usize,
     kc: usize,
-    jc: usize,
-    nc: usize,
 ) {
-    let tiles = nc.div_ceil(C);
     let base = dst.len();
-    dst.resize(base + tiles * kc * C, 0.0);
-    let dst = &mut dst[base..];
-    for u in 0..tiles {
-        let tile = &mut dst[u * kc * C..(u + 1) * kc * C];
-        let cols = C.min(nc - u * C);
-        for (p, group) in tile.chunks_exact_mut(C).enumerate() {
-            for (c, slot) in group.iter_mut().take(cols).enumerate() {
-                *slot = b[(pc + p) * rs + (jc + u * C + c) * cs];
+    dst.resize(base + kc * W, 0.0);
+    let tile = &mut dst[base..];
+    if live == W {
+        // A full tile: a fixed-length gather per depth, fully unrolled.
+        for (p, group) in tile.chunks_exact_mut(W).enumerate() {
+            let col = (pc + p) * v.cs;
+            for (l, slot) in group.iter_mut().enumerate() {
+                *slot = v.data[(l0 + l) * v.rs + col];
             }
         }
+        return;
+    }
+    for (p, group) in tile.chunks_exact_mut(W).enumerate() {
+        let col = (pc + p) * v.cs;
+        for (l, slot) in group.iter_mut().take(live).enumerate() {
+            *slot = v.data[(l0 + l) * v.rs + col];
+        }
+        // Slots past `live` stay at the zero fill from `resize`.
     }
 }
 
-/// Pack every `A'` panel of an `m×k` operand into `dst`, in the exact
-/// order the blocked driver consumes them (`pc` outer, `ic` inner — the
-/// driver indexes panel `(pi, ii)` at `offsets[pi*num_ic + ii]`).
-fn pack_a_all<const R: usize>(
+/// Pack every panel of the lane-major left operand `A'` (`lanes × depth`)
+/// into `dst`, in the exact order the blocked driver consumes them: depth
+/// panels outer and row panels inner (`offsets[pi*num_ic + ii]`).
+fn pack_all(
     dst: &mut Vec<f32>,
     offsets: &mut Vec<usize>,
-    a: &[f32],
-    rs: usize,
-    cs: usize,
-    m: usize,
-    k: usize,
+    v: View<'_>,
+    lanes: usize,
+    depth: usize,
+    w: usize,
 ) {
     dst.clear();
     offsets.clear();
-    for pc in (0..k).step_by(KC) {
-        let kc = KC.min(k - pc);
-        for ic in (0..m).step_by(MC) {
-            let mc = MC.min(m - ic);
+    for pc in (0..depth).step_by(KC) {
+        let kc = KC.min(depth - pc);
+        for l0 in (0..lanes).step_by(MC) {
             offsets.push(dst.len());
-            pack_a_panel::<R>(dst, a, rs, cs, ic, mc, pc, kc);
+            pack_panel(dst, v, l0, MC.min(lanes - l0), pc, kc, w, false);
         }
     }
 }
 
-/// Pack every `B'` panel of a `k×n` operand into `dst`, in the exact
-/// order the blocked driver consumes them (`jc` outer, `pc` inner — the
-/// driver indexes panel `(ji, pi)` at `offsets[ji*num_pc + pi]`).
-fn pack_b_all<const C: usize>(
-    dst: &mut Vec<f32>,
-    offsets: &mut Vec<usize>,
-    b: &[f32],
-    rs: usize,
-    cs: usize,
-    k: usize,
-    n: usize,
-) {
-    dst.clear();
-    offsets.clear();
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            offsets.push(dst.len());
-            pack_b_panel::<C>(dst, b, rs, cs, pc, kc, jc, nc);
-        }
-    }
-}
-
-/// Multiply one packed `A` panel by one packed `B` panel, committing each
-/// micro-tile's partial sum into `out` (`+=`, `out` pre-zeroed by the
-/// driver on the first depth panel).
-#[allow(clippy::too_many_arguments)]
+/// Multiply one `A'` panel by one `B'` panel, committing each micro-tile's
+/// partial sum into the row-major `out` (row stride `ldc`; `+=`, since
+/// `out` was zeroed by the driver unless accumulating).
 fn macro_kernel<const R: usize, const C: usize>(
-    pa: &[f32],
-    pb: &[f32],
-    mc: usize,
+    ap: &Panel<'_>,
+    bp: &Panel<'_>,
     kc: usize,
-    nc: usize,
     out: &mut [f32],
+    ldc: usize,
     ic: usize,
     jc: usize,
-    ldc: usize,
 ) {
-    let row_tiles = mc.div_ceil(R);
-    let col_tiles = nc.div_ceil(C);
-    for t in 0..row_tiles {
-        let ap = &pa[t * kc * R..(t + 1) * kc * R];
-        let rows = R.min(mc - t * R);
-        for u in 0..col_tiles {
-            let bp = &pb[u * kc * C..(u + 1) * kc * C];
-            let acc = micro_kernel::<R, C>(ap, bp);
-            let cols = C.min(nc - u * C);
+    for t in 0..ap.tiles() {
+        let (asrc, rows) = ap.tile(t);
+        for u in 0..bp.tiles() {
+            let (bsrc, cols) = bp.tile(u);
+            let acc = micro_kernel::<R, C>(asrc, bsrc, kc);
+            let o = (ic + t * R) * ldc + jc + u * C;
             for (r, acc_row) in acc.iter().enumerate().take(rows) {
-                let row0 = (ic + t * R + r) * ldc + jc + u * C;
-                let crow = &mut out[row0..row0 + cols];
-                for (dst, v) in crow.iter_mut().zip(acc_row) {
-                    *dst += v;
+                let crow = &mut out[o + r * ldc..][..cols];
+                for (d, v) in crow.iter_mut().zip(acc_row) {
+                    *d += v;
                 }
             }
         }
     }
 }
 
-/// The `R×C` register block: `acc[r][c] += ap[p][r] * bp[p][c]` over the
-/// packed depth dimension, in ascending `p`. Fixed-size arrays and
-/// `chunks_exact` give LLVM exact trip counts, so the two inner loops
-/// unroll into straight-line vector code with no bounds checks. Each
-/// accumulator lane is an independent dot product, so the tile shape
+/// The `R×C` register block: `acc[r][c] += a[p][r] * b[p][c]` over the
+/// depth dimension, in ascending `p`, where group `p` of each operand
+/// starts at `off + p * ld`. Fixed-size arrays give LLVM exact trip counts
+/// for the two inner loops, which unroll into straight-line vector code.
+/// Each accumulator lane is an independent dot product, so the tile shape
 /// never changes any output element's summation order.
-#[inline]
-fn micro_kernel<const R: usize, const C: usize>(ap: &[f32], bp: &[f32]) -> [[f32; C]; R] {
+#[inline(always)]
+fn micro_kernel<const R: usize, const C: usize>(
+    a: Src<'_>,
+    b: Src<'_>,
+    kc: usize,
+) -> [[f32; C]; R] {
     let mut acc = [[0.0f32; C]; R];
-    for (av, bv) in ap.chunks_exact(R).zip(bp.chunks_exact(C)) {
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            let a = av[r];
-            for (c, slot) in acc_row.iter_mut().enumerate() {
-                *slot += a * bv[c];
-            }
-        }
+    if kc == 0 {
+        return acc;
     }
+    if a.ld == R && b.ld == C {
+        // Both tiles packed: constant strides, so `chunks_exact` needs no
+        // runtime division and the loop carries no bounds checks.
+        let ag = &a.buf[a.off..][..kc * R];
+        let bg = &b.buf[b.off..][..kc * C];
+        for (av, bv) in ag.chunks_exact(R).zip(bg.chunks_exact(C)) {
+            rank1_update(&mut acc, av, bv);
+        }
+        return acc;
+    }
+    // At least one operand is read in place at its source's stride: step
+    // through the groups by re-slicing (a per-tile `chunks_exact` with a
+    // runtime size would cost two integer divisions, more than a short
+    // depth's worth of steps).
+    let mut ag = &a.buf[a.off..a.off + (kc - 1) * a.ld + R];
+    let mut bg = &b.buf[b.off..b.off + (kc - 1) * b.ld + C];
+    for _ in 1..kc {
+        rank1_update(&mut acc, &ag[..R], &bg[..C]);
+        ag = &ag[a.ld..];
+        bg = &bg[b.ld..];
+    }
+    rank1_update(&mut acc, &ag[..R], &bg[..C]);
     acc
 }
 
-/// Number of memoized packed operands a [`PanelCache`] retains. Sized for
-/// one model's working set: per linear layer the forward (`N·N`) and
-/// backward (`N·T`) packings of the weight, plus the conv layers' forward
-/// and transposed weight packings, with slack for mixed workloads.
+/// `acc[r][c] += av[r] * bv[c]` for one depth: `av` holds `R` values,
+/// `bv` holds `C`.
+#[inline(always)]
+fn rank1_update<const R: usize, const C: usize>(acc: &mut [[f32; C]; R], av: &[f32], bv: &[f32]) {
+    for (r, acc_row) in acc.iter_mut().enumerate() {
+        let x = av[r];
+        for (c, slot) in acc_row.iter_mut().enumerate() {
+            *slot += x * bv[c];
+        }
+    }
+}
+
+/// Number of memoized packed operands a [`PanelCache`] retains. A conv
+/// layer's cache holds its one forward weight packing; the rest is slack
+/// for callers that share a cache across layers.
 const PANEL_CACHE_CAP: usize = 12;
 
 /// Identity of one memoized packed operand. Two lookups may share an
@@ -676,15 +633,14 @@ const PANEL_CACHE_CAP: usize = 12;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PanelKey {
     stamp: u64,
-    side: Side,
-    /// Logical rows of the packed operand view (`m` for `A`, `k` for `B`).
-    rows: usize,
-    /// Logical columns of the packed view (`k` for `A`, `n` for `B`).
-    cols: usize,
+    /// Lanes (rows) of the packed `A'` view.
+    lanes: usize,
+    /// Depth of the view (`k`).
+    depth: usize,
+    /// The lane-major view's strides.
     rs: usize,
     cs: usize,
-    /// Register-tile extent along the packed dimension (`R` for `A`
-    /// panels, `C` for `B` panels) — wider tiles interleave differently.
+    /// Register-tile rows `R` — wider tiles interleave differently.
     tile: usize,
 }
 
@@ -699,9 +655,8 @@ struct PanelEntry {
 
 /// A small memo of fully packed GEMM operands, keyed by the owning
 /// tensor's generation stamp plus the packed view's shape, strides, and
-/// tile width. Lives in model/conv scratch state so one training step (or
-/// one evaluation sweep over many clients) packs each weight matrix once
-/// per view instead of once per GEMM call.
+/// tile width. Lives in conv scratch state so one forward pass packs the
+/// weight once per batch instead of once per sample.
 ///
 /// Purely a performance structure: a hit replays byte-identical packed
 /// panels (the stamp changes whenever the source tensor is mutated), so
@@ -785,12 +740,14 @@ pub fn bias_relu_forward(
 ) {
     assert_eq!(bias.len(), cols, "bias width mismatch");
     assert_eq!(y.len(), rows * cols, "activation buffer shape mismatch");
+    // Size the mask up front and write it in lockstep with `y`: pushing
+    // element by element would keep the loop from vectorizing.
     mask.clear();
-    mask.reserve(rows * cols);
-    for row in y.chunks_exact_mut(cols) {
-        for (v, &b) in row.iter_mut().zip(bias) {
+    mask.resize(rows * cols, false);
+    for (row, mrow) in y.chunks_exact_mut(cols).zip(mask.chunks_exact_mut(cols)) {
+        for ((v, m), &b) in row.iter_mut().zip(mrow).zip(bias) {
             let z = *v + b;
-            mask.push(z > 0.0);
+            *m = z > 0.0;
             *v = if z > 0.0 { z } else { 0.0 };
         }
     }
@@ -846,8 +803,9 @@ mod tests {
         out
     }
 
-    /// The historical fixed-tile kernel: every wider variant must match it
-    /// bit for bit, on every shape and stride pattern.
+    /// The historical fixed-tile kernel (4×8): every wider or in-place
+    /// variant must match it bit for bit, on every shape and stride
+    /// pattern.
     #[allow(clippy::too_many_arguments)]
     fn gemm_4x8(
         m: usize,
@@ -861,9 +819,18 @@ mod tests {
         b_cs: usize,
         out: &mut [f32],
     ) {
-        gemm_blocked::<4, 8>(
-            m, k, n, a, a_rs, a_cs, b, b_rs, b_cs, None, None, out, false,
-        );
+        out[..m * n].fill(0.0);
+        let a = View {
+            data: a,
+            rs: a_rs,
+            cs: a_cs,
+        };
+        let b = View {
+            data: b,
+            rs: b_rs,
+            cs: b_cs,
+        };
+        gemm_blocked::<MR, NR>(m, k, n, a, b.t(), None, out);
     }
 
     fn pseudo(n: usize, salt: u64) -> Vec<f32> {
@@ -1038,17 +1005,19 @@ mod tests {
 
     #[test]
     fn panel_cache_hits_replay_bitwise_identical_results() {
-        let (m, k, n) = (16, 24, 128);
-        let a = pseudo(m * k, 11);
-        let b = pseudo(k * n, 12);
+        // The conv forward product: its weight is the strided left
+        // operand, packed once per stamp and then replayed.
+        let (oc, fan_in, hw) = (8, 18, 64);
+        let w = pseudo(oc * fan_in, 11);
+        let cols = pseudo(fan_in * hw, 12);
         let mut cache = PanelCache::new();
-        let mut uncached = vec![0.0f32; m * n];
-        gemm_nn(m, k, n, &a, &b, &mut uncached);
-        let mut first = vec![0.0f32; m * n];
-        gemm_nn_b_cached(m, k, n, &a, &b, 77, &mut first, &mut cache);
+        let mut uncached = vec![0.0f32; oc * hw];
+        gemm_nn(oc, fan_in, hw, &w, &cols, &mut uncached);
+        let mut first = vec![0.0f32; oc * hw];
+        gemm_nn_a_cached(oc, fan_in, hw, &w, 77, &cols, &mut first, &mut cache);
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        let mut second = vec![f32::NAN; m * n];
-        gemm_nn_b_cached(m, k, n, &a, &b, 77, &mut second, &mut cache);
+        let mut second = vec![f32::NAN; oc * hw];
+        gemm_nn_a_cached(oc, fan_in, hw, &w, 77, &cols, &mut second, &mut cache);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         for ((u, f), s) in uncached.iter().zip(&first).zip(&second) {
             assert_eq!(u.to_bits(), f.to_bits());
@@ -1057,24 +1026,23 @@ mod tests {
     }
 
     #[test]
-    fn panel_cache_misses_on_stamp_shape_and_view_changes() {
+    fn panel_cache_misses_on_stamp_and_shape_changes() {
         let (m, k, n) = (8, 10, 16);
         let a = pseudo(m * k, 13);
         let b = pseudo(k * n, 14);
         let mut cache = PanelCache::new();
         let mut out = vec![0.0f32; m * n];
-        gemm_nn_b_cached(m, k, n, &a, &b, 1, &mut out, &mut cache);
+        gemm_nn_a_cached(m, k, n, &a, 1, &b, &mut out, &mut cache);
         // A new stamp (mutated tensor) must repack.
-        gemm_nn_b_cached(m, k, n, &a, &b, 2, &mut out, &mut cache);
+        gemm_nn_a_cached(m, k, n, &a, 2, &b, &mut out, &mut cache);
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        // The transposed view of the same stamp is a distinct entry...
-        let bt = pseudo(n * k, 15);
-        let mut out_t = vec![0.0f32; m * n];
-        gemm_nt_b_cached(m, k, n, &a, &bt, 2, &mut out_t, &mut cache);
+        // The same storage read under another shape is a distinct entry...
+        let mut out_t = vec![0.0f32; k * k];
+        gemm_nn_a_cached(k, m, k, &a, 2, &a, &mut out_t, &mut cache);
         assert_eq!((cache.hits(), cache.misses()), (0, 3));
         // ...and each repeat lookup hits its own entry.
-        gemm_nn_b_cached(m, k, n, &a, &b, 2, &mut out, &mut cache);
-        gemm_nt_b_cached(m, k, n, &a, &bt, 2, &mut out_t, &mut cache);
+        gemm_nn_a_cached(m, k, n, &a, 2, &b, &mut out, &mut cache);
+        gemm_nn_a_cached(k, m, k, &a, 2, &a, &mut out_t, &mut cache);
         assert_eq!((cache.hits(), cache.misses()), (2, 3));
     }
 
@@ -1083,12 +1051,12 @@ mod tests {
         // Thrash far past capacity with distinct stamps; every call must
         // still match the uncached kernel bit for bit.
         let (m, k, n) = (5, 7, 9);
-        let a = pseudo(m * k, 16);
+        let b = pseudo(k * n, 16);
         let mut cache = PanelCache::new();
         for stamp in 0..(PANEL_CACHE_CAP as u64 * 3) {
-            let b = pseudo(k * n, 100 + stamp);
+            let a = pseudo(m * k, 100 + stamp);
             let mut got = vec![0.0f32; m * n];
-            gemm_nn_b_cached(m, k, n, &a, &b, stamp, &mut got, &mut cache);
+            gemm_nn_a_cached(m, k, n, &a, stamp, &b, &mut got, &mut cache);
             let mut want = vec![0.0f32; m * n];
             gemm_nn(m, k, n, &a, &b, &mut want);
             assert_eq!(
@@ -1098,33 +1066,6 @@ mod tests {
             );
         }
         assert_eq!(cache.misses(), PANEL_CACHE_CAP as u64 * 3);
-    }
-
-    #[test]
-    fn a_side_cache_matches_uncached_for_conv_views() {
-        // The conv forward (N·N, A cached) and backward (T·N, A cached)
-        // views over one weight stamp.
-        let (oc, fan_in, hw) = (8, 18, 64);
-        let w = pseudo(oc * fan_in, 17);
-        let cols = pseudo(fan_in * hw, 18);
-        let mut cache = PanelCache::new();
-        let mut got = vec![0.0f32; oc * hw];
-        gemm_nn_a_cached(oc, fan_in, hw, &w, 9, &cols, &mut got, &mut cache);
-        let mut want = vec![0.0f32; oc * hw];
-        gemm_nn(oc, fan_in, hw, &w, &cols, &mut want);
-        assert_eq!(got, want);
-        // Backward: fan_in×hw = weightᵀ · g, weight stored [oc × fan_in].
-        let g = pseudo(oc * hw, 19);
-        let mut got_t = vec![0.0f32; fan_in * hw];
-        gemm_tn_a_cached(fan_in, oc, hw, &w, 9, &g, &mut got_t, &mut cache);
-        let mut want_t = vec![0.0f32; fan_in * hw];
-        gemm_tn(fan_in, oc, hw, &w, &g, &mut want_t);
-        assert_eq!(got_t, want_t);
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        // Replaying both views hits both entries.
-        gemm_nn_a_cached(oc, fan_in, hw, &w, 9, &cols, &mut got, &mut cache);
-        gemm_tn_a_cached(fan_in, oc, hw, &w, 9, &g, &mut got_t, &mut cache);
-        assert_eq!((cache.hits(), cache.misses()), (2, 2));
     }
 
     #[test]
@@ -1142,9 +1083,11 @@ mod tests {
                 }
             }
         }
-        let mut mask = Vec::new();
+        // A stale, wrongly sized mask must be replaced, not appended to.
+        let mut mask = vec![true; 2];
         bias_relu_forward(&mut y, rows, cols, &bias, &mut mask);
         assert_eq!(y, want);
+        assert_eq!(mask.len(), rows * cols);
         for (v, &keep) in y.iter().zip(&mask) {
             assert_eq!(keep, *v > 0.0);
         }

@@ -53,6 +53,9 @@ pub fn softmax_cross_entropy_into(
         )));
     }
     grad.resize(n, c);
+    // One mutable borrow for the whole pass: each `data_mut` call takes a
+    // fresh generation stamp from a process-global counter.
+    let gdata = grad.data_mut();
     let mut total = 0.0f64;
     for (i, &y) in labels.iter().enumerate().take(n) {
         if y >= c {
@@ -65,7 +68,7 @@ pub fn softmax_cross_entropy_into(
         // Stage the exponentials in the gradient row so the second pass
         // reuses them instead of recomputing each `exp` — same values in
         // the same order, so the result is bit-identical.
-        let grow = &mut grad.data_mut()[i * c..(i + 1) * c];
+        let grow = &mut gdata[i * c..(i + 1) * c];
         let mut denom = 0.0f32;
         for (g, &v) in grow.iter_mut().zip(row) {
             let e = (v - max).exp();

@@ -90,15 +90,6 @@ struct Scratch {
     batch_labels: Vec<usize>,
     /// Shuffled sample order for one epoch.
     order: Vec<usize>,
-    /// Flat parameter / gradient mirrors for the optimizer step.
-    params: Vec<f32>,
-    grads: Vec<f32>,
-    /// Packed-panel memo for the GEMM weight operands: the forward and
-    /// backward passes of one step (and every batch of an evaluation
-    /// sweep) reuse the same packed weights instead of re-packing per
-    /// call. Keyed by generation stamp, so `set_params` invalidates it
-    /// implicitly.
-    panels: crate::kernels::PanelCache,
 }
 
 /// A feed-forward classifier: `Linear → ReLU → … → Linear`.
@@ -192,13 +183,6 @@ impl Mlp {
         out
     }
 
-    /// Flatten the current gradients in the same layout as [`Mlp::params`].
-    pub fn grads(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.num_params());
-        self.grads_into(&mut out);
-        out
-    }
-
     /// Write the flattened parameter vector into `out`, reusing its
     /// allocation. `out` is cleared first.
     pub fn params_into(&self, out: &mut Vec<f32>) {
@@ -207,17 +191,6 @@ impl Mlp {
         for l in &self.layers {
             out.extend_from_slice(l.weight.data());
             out.extend_from_slice(l.bias.data());
-        }
-    }
-
-    /// Write the flattened gradient vector into `out`, reusing its
-    /// allocation. `out` is cleared first.
-    pub fn grads_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        out.reserve(self.num_params());
-        for l in &self.layers {
-            out.extend_from_slice(l.grad_weight.data());
-            out.extend_from_slice(l.grad_bias.data());
         }
     }
 
@@ -245,7 +218,7 @@ impl Mlp {
             let (prev, rest) = self.scratch.acts.split_at_mut(i);
             let out = &mut rest[0];
             let input = if i == 0 { x } else { &prev[i - 1] };
-            self.layers[i].forward_matmul_into_cached(input, out, &mut self.scratch.panels)?;
+            self.layers[i].forward_matmul_into(input, out)?;
             if i < n_layers - 1 {
                 if record_masks {
                     self.activations[i].forward_fused_bias(out, &self.layers[i].bias)?;
@@ -283,12 +256,7 @@ impl Mlp {
         } = self;
         let loss = softmax_cross_entropy_into(&scratch.acts[n_layers - 1], y, &mut scratch.grad)?;
         for i in (1..n_layers).rev() {
-            layers[i].backward_into_cached(
-                &scratch.acts[i - 1],
-                &scratch.grad,
-                &mut scratch.grad2,
-                &mut scratch.panels,
-            )?;
+            layers[i].backward_into(&scratch.acts[i - 1], &scratch.grad, &mut scratch.grad2)?;
             activations[i - 1].backward_in_place(&mut scratch.grad2)?;
             std::mem::swap(&mut scratch.grad, &mut scratch.grad2);
         }
@@ -353,16 +321,12 @@ impl Mlp {
         let mut order = std::mem::take(&mut self.scratch.order);
         let mut batch = std::mem::take(&mut self.scratch.batch);
         let mut batch_labels = std::mem::take(&mut self.scratch.batch_labels);
-        let mut params = std::mem::take(&mut self.scratch.params);
-        let mut grads = std::mem::take(&mut self.scratch.grads);
         order.clear();
         order.extend(0..data.len());
         order.shuffle(&mut seed_rng(seed));
         let mut total = 0.0;
         let mut batches = 0;
-        // `params` mirrors the layer parameters exactly (every write path
-        // goes through `set_params` below), so one read up front suffices.
-        self.params_into(&mut params);
+        opt.size_for(self.num_params());
         for chunk in order.chunks(batch_size) {
             data.gather_into(chunk, &mut batch, &mut batch_labels);
             match self.forward_backward(&batch, &batch_labels) {
@@ -372,50 +336,39 @@ impl Mlp {
                 }
                 Err(_) => continue,
             }
-            self.grads_into(&mut grads);
-            if let Some((mu, anchor)) = drift.prox {
-                for ((g, &p), &a) in grads.iter_mut().zip(&params).zip(anchor) {
-                    *g += mu * (p - a);
-                }
-            }
-            if let Some((c, ci)) = drift.scaffold {
-                if ci.is_empty() {
-                    for (g, &cj) in grads.iter_mut().zip(c) {
-                        *g += cj;
-                    }
-                } else {
-                    for ((g, &cj), &cij) in grads.iter_mut().zip(c).zip(ci) {
-                        *g += cj - cij;
-                    }
-                }
-            }
-            if let Some(frozen) = &opts.frozen {
-                for (g, &f) in grads.iter_mut().zip(frozen) {
-                    if f {
-                        *g = 0.0;
-                    }
-                }
-            }
-            opt.step(&mut params, &grads);
-            if let Some(mask) = &opts.prune_mask {
-                for (p, &keep) in params.iter_mut().zip(mask) {
-                    if !keep {
-                        *p = 0.0;
-                    }
-                }
-            }
-            self.set_params(&params)
-                .expect("params buffer produced by self.params_into() always fits");
+            self.step_in_place(opt, opts, drift);
         }
         self.scratch.order = order;
         self.scratch.batch = batch;
         self.scratch.batch_labels = batch_labels;
-        self.scratch.params = params;
-        self.scratch.grads = grads;
         if batches == 0 {
             0.0
         } else {
             total / batches as f32
+        }
+    }
+
+    /// Apply one optimizer step to every parameter tensor in place, from
+    /// the gradients the last [`Mlp::forward_backward`] left in the
+    /// layers (the drift corrections are folded into those gradient
+    /// buffers, which the next backward pass overwrites). Each tensor is
+    /// one segment of the flat [`Mlp::params`] layout, which is how the
+    /// per-parameter hooks and the optimizer's momentum buffer are
+    /// indexed.
+    fn step_in_place(&mut self, opt: &mut Sgd, opts: &TrainOptions, drift: &DriftOptions<'_>) {
+        let mut off = 0;
+        for l in &mut self.layers {
+            let Linear {
+                weight,
+                bias,
+                grad_weight,
+                grad_bias,
+                ..
+            } = l;
+            for (param, grad) in [(weight, grad_weight), (bias, grad_bias)] {
+                step_segment(param.data_mut(), grad.data_mut(), off, opt, opts, drift);
+                off += grad.len();
+            }
         }
     }
 
@@ -470,6 +423,58 @@ impl Mlp {
                 accuracy: 0.0,
                 samples: data.len(),
             },
+        }
+    }
+}
+
+/// Step the parameters `params` (flat indices `off..off + params.len()`)
+/// with gradients `grads`, which are consumed as scratch. Per element the
+/// order is fixed — FedProx's pull, SCAFFOLD's correction, the frozen
+/// mask, the optimizer update, the prune mask — and pinned bit for bit by
+/// `tests/train_step_golden.rs`; each pass is a simple loop that
+/// vectorizes. A hook vector shorter than the model covers only its own
+/// prefix.
+fn step_segment(
+    params: &mut [f32],
+    grads: &mut [f32],
+    off: usize,
+    opt: &mut Sgd,
+    opts: &TrainOptions,
+    drift: &DriftOptions<'_>,
+) {
+    let end = off + params.len();
+    let seg = |len: usize| off.min(len)..end.min(len);
+    if let Some((mu, anchor)) = drift.prox {
+        let anchor = &anchor[seg(anchor.len())];
+        for ((g, &p), &a) in grads.iter_mut().zip(&*params).zip(anchor) {
+            *g += mu * (p - a);
+        }
+    }
+    if let Some((c, ci)) = drift.scaffold {
+        let c = &c[seg(c.len())];
+        if ci.is_empty() {
+            for (g, &cj) in grads.iter_mut().zip(c) {
+                *g += cj;
+            }
+        } else {
+            for ((g, &cj), &cij) in grads.iter_mut().zip(c).zip(&ci[seg(ci.len())]) {
+                *g += cj - cij;
+            }
+        }
+    }
+    if let Some(frozen) = &opts.frozen {
+        for (g, &f) in grads.iter_mut().zip(&frozen[seg(frozen.len())]) {
+            if f {
+                *g = 0.0;
+            }
+        }
+    }
+    opt.step_at(off, params, grads);
+    if let Some(mask) = &opts.prune_mask {
+        for (p, &keep) in params.iter_mut().zip(&mask[seg(mask.len())]) {
+            if !keep {
+                *p = 0.0;
+            }
         }
     }
 }
@@ -588,30 +593,6 @@ mod tests {
         assert_eq!(by_ref, by_scratch);
         // A second scratch evaluation must be unaffected by buffer reuse.
         assert_eq!(m.evaluate_mut(&data), by_scratch);
-    }
-
-    #[test]
-    fn panel_cache_hits_across_eval_and_training_without_changing_results() {
-        let data = xor_like();
-        let mut m = Mlp::new(&MlpConfig::new(2, &[8], 2), 3);
-        let uncached_eval = m.evaluate(&data);
-        m.evaluate_mut(&data);
-        let misses_after_first = m.scratch.panels.misses();
-        assert!(misses_after_first > 0, "first eval must pack");
-        let second = m.evaluate_mut(&data);
-        assert_eq!(second, uncached_eval);
-        assert_eq!(
-            m.scratch.panels.misses(),
-            misses_after_first,
-            "unchanged weights must not repack"
-        );
-        assert!(m.scratch.panels.hits() > 0);
-        // Training mutates the weights each step, so later evals repack —
-        // and still agree with the allocation-free reference path.
-        let mut opt = Sgd::new(0.2);
-        m.train_epoch(&data, 16, &mut opt, 0);
-        assert!(m.scratch.panels.misses() > misses_after_first);
-        assert_eq!(m.evaluate_mut(&data), m.evaluate(&data));
     }
 
     #[test]

@@ -51,19 +51,39 @@ impl Sgd {
             grads.len(),
             "parameter/gradient length mismatch"
         );
-        if self.momentum != 0.0 && self.velocity.len() != params.len() {
-            self.velocity = vec![0.0; params.len()];
+        self.size_for(params.len());
+        self.step_at(0, params, grads);
+    }
+
+    /// Lazily size the momentum buffer for a model of `total` parameters
+    /// (a no-op without momentum); switching sizes resets it.
+    pub(crate) fn size_for(&mut self, total: usize) {
+        if self.momentum != 0.0 && self.velocity.len() != total {
+            self.velocity = vec![0.0; total];
         }
-        for i in 0..params.len() {
-            let mut g = grads[i];
-            if self.weight_decay != 0.0 {
-                g += self.weight_decay * params[i];
+    }
+
+    /// [`Sgd::step`] over one contiguous segment of the model's
+    /// parameters, starting at flat index `off` (which addresses the
+    /// momentum buffer). [`Sgd::size_for`] must have been called for the
+    /// whole model first. Per element: `g += decay·p`, then
+    /// `v = momentum·v + g; g = v`, then `p -= lr·g`, each only when its
+    /// coefficient is nonzero; the coefficient tests are loop invariant,
+    /// so the plain-SGD loop vectorizes.
+    pub(crate) fn step_at(&mut self, off: usize, params: &mut [f32], grads: &[f32]) {
+        let (lr, decay, momentum) = (self.lr, self.weight_decay, self.momentum);
+        if momentum == 0.0 {
+            for (p, &g) in params.iter_mut().zip(grads) {
+                let g = if decay != 0.0 { g + decay * *p } else { g };
+                *p -= lr * g;
             }
-            if self.momentum != 0.0 {
-                self.velocity[i] = self.momentum * self.velocity[i] + g;
-                g = self.velocity[i];
+        } else {
+            let velocity = &mut self.velocity[off..off + params.len()];
+            for ((p, &g), v) in params.iter_mut().zip(grads).zip(velocity) {
+                let g = if decay != 0.0 { g + decay * *p } else { g };
+                *v = momentum * *v + g;
+                *p -= lr * *v;
             }
-            params[i] -= self.lr * g;
         }
     }
 

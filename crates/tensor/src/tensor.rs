@@ -194,43 +194,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// [`Tensor::matmul_into`] with `rhs`'s packed panels memoized in
-    /// `cache`, keyed by `rhs.stamp()`. Bitwise-identical to the uncached
-    /// call; use when the same right operand (a weight matrix) recurs
-    /// across calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when the inner dimensions
-    /// disagree.
-    pub fn matmul_into_cached(
-        &self,
-        rhs: &Tensor,
-        out: &mut Tensor,
-        cache: &mut kernels::PanelCache,
-    ) -> Result<(), TensorError> {
-        if self.cols != rhs.rows {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul",
-                lhs: vec![self.rows, self.cols],
-                rhs: vec![rhs.rows, rhs.cols],
-            });
-        }
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        out.resize(m, n);
-        kernels::gemm_nn_b_cached(
-            m,
-            k,
-            n,
-            &self.data,
-            &rhs.data,
-            rhs.stamp,
-            &mut out.data,
-            cache,
-        );
-        Ok(())
-    }
-
     /// `selfᵀ (k×m)ᵀ · rhs (m×n) → k×n` without materializing the transpose.
     ///
     /// # Errors
@@ -288,41 +251,6 @@ impl Tensor {
         let (m, k, n) = (self.rows, self.cols, rhs.rows);
         out.resize(m, n);
         kernels::gemm_nt(m, k, n, &self.data, &rhs.data, &mut out.data);
-        Ok(())
-    }
-
-    /// [`Tensor::matmul_t_into`] with `rhs`'s packed (transposed-view)
-    /// panels memoized in `cache`, keyed by `rhs.stamp()`. Bitwise-identical
-    /// to the uncached call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when column counts disagree.
-    pub fn matmul_t_into_cached(
-        &self,
-        rhs: &Tensor,
-        out: &mut Tensor,
-        cache: &mut kernels::PanelCache,
-    ) -> Result<(), TensorError> {
-        if self.cols != rhs.cols {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_t",
-                lhs: vec![self.rows, self.cols],
-                rhs: vec![rhs.rows, rhs.cols],
-            });
-        }
-        let (m, k, n) = (self.rows, self.cols, rhs.rows);
-        out.resize(m, n);
-        kernels::gemm_nt_b_cached(
-            m,
-            k,
-            n,
-            &self.data,
-            &rhs.data,
-            rhs.stamp,
-            &mut out.data,
-            cache,
-        );
         Ok(())
     }
 
@@ -564,25 +492,6 @@ mod tests {
         // Content-equal tensors with different stamps still compare equal.
         assert_ne!(a.stamp(), b.stamp());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn cached_matmuls_match_uncached() {
-        let a = t(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = t(3, 2, &[7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let mut cache = kernels::PanelCache::new();
-        let mut out = Tensor::default();
-        a.matmul_into_cached(&b, &mut out, &mut cache).unwrap();
-        assert_eq!(out, a.matmul(&b).unwrap());
-        a.matmul_into_cached(&b, &mut out, &mut cache).unwrap();
-        assert_eq!(out, a.matmul(&b).unwrap());
-        assert_eq!(cache.hits(), 1);
-        let bt = b.transpose();
-        a.matmul_t_into_cached(&bt, &mut out, &mut cache).unwrap();
-        assert_eq!(out, a.matmul(&b).unwrap());
-        assert!(a
-            .matmul_into_cached(&Tensor::zeros(2, 2), &mut out, &mut cache)
-            .is_err());
     }
 
     #[test]
